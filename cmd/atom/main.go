@@ -620,8 +620,8 @@ func runUnderVM(ctx *obs.Ctx, metricsSink *obs.MetricsSink, rc runConfig) int {
 		status = 1
 	}
 	if rc.stats {
-		fmt.Fprintf(os.Stderr, "icount=%d loads=%d stores=%d unaligned=%d syscalls=%d\n",
-			m.Icount, m.Loads, m.Stores, m.Unaligned, m.Syscalls)
+		fmt.Fprintf(os.Stderr, "icount=%d loads=%d stores=%d text_stores=%d unaligned=%d syscalls=%d\n",
+			m.Icount, m.Loads, m.Stores, m.TextStores, m.Unaligned, m.Syscalls)
 	}
 
 	// Observability artifacts are flushed regardless of how the run went.

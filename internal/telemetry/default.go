@@ -69,6 +69,7 @@ func RegisterProcessGauges(r *Registry) {
 	r.SetGauge("vm.total.icount", func() int64 { return int64(vm.Totals().Icount) })
 	r.SetGauge("vm.total.loads", func() int64 { return int64(vm.Totals().Loads) })
 	r.SetGauge("vm.total.stores", func() int64 { return int64(vm.Totals().Stores) })
+	r.SetGauge("vm.total.text_stores", func() int64 { return int64(vm.Totals().TextStores) })
 	r.SetGauge("vm.total.syscalls", func() int64 { return int64(vm.Totals().Syscalls) })
 	r.SetGauge("vm.total.sb.built", func() int64 { return int64(vm.Totals().SBBuilt) })
 	r.SetGauge("vm.total.sb.hits", func() int64 { return int64(vm.Totals().SBHits) })

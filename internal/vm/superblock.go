@@ -29,10 +29,18 @@ import (
 //     mirrors checkAddr exactly); the dispatcher restores PC/Icount to
 //     the faulting instruction and re-executes it through m.exec to
 //     regenerate the byte-identical diagnostic.
-//   - A store into the text segment re-decodes the predecode cache and
-//     drops every superblock whose span overlaps the store, then bails
-//     out of the current block after that op, so stale harvested code
-//     is never executed (self-modifying code stays exact).
+//   - Instrumented executables store into text routinely: the analysis
+//     routines' data lives between the application's text and data.
+//     Every such store invalidates its predecode slots (re-decoded on
+//     first fetch or harvest). sbCover counts, per text word, the live
+//     blocks with a micro-op from that word. A store that touches no
+//     covered word drops nothing and keeps running the current block:
+//     that block is live and covers its own words, and every valid
+//     trace link leads to a live block, so none of them can be stale.
+//     A store into a covered word drops every block whose span
+//     overlaps it, bumps sbGen, and bails out of the current block
+//     after that op, so stale harvested code is never executed
+//     (self-modifying code stays exact).
 //   - Blocks are entered only when the remaining instruction budget
 //     covers the whole block; otherwise the dispatcher single-steps, so
 //     MaxInstr exhaustion yields the same Icount, PC, and error text as
@@ -50,7 +58,7 @@ const sbMaxOps = 256
 const (
 	sbOK        uint8 = iota
 	sbFaulted         // bounds check failed; no side effects applied
-	sbTextStore       // store hit text: caches invalidated, bail out
+	sbTextStore       // store hit harvested code: blocks dropped, bail out
 )
 
 type sbKind uint8
@@ -116,6 +124,7 @@ func (m *Machine) lookupSB(pc uint64) *superblock {
 	}
 	m.sbByIdx[idx] = sb
 	m.sbAll = append(m.sbAll, sb)
+	m.sbCoverAdd(sb, 1)
 	m.sbBuilt++
 	if m.cfg.Obs.Enabled() {
 		m.cfg.Obs.Observe("vm.sb.block_len", int64(sb.n))
@@ -123,19 +132,43 @@ func (m *Machine) lookupSB(pc uint64) *superblock {
 	return sb
 }
 
-// sbInvalidate drops every superblock whose span overlaps a store to
-// [addr, addr+size) and invalidates all trace links (generation bump).
-// Entry slots holding the unbuildable sentinel inside the range are
-// cleared too: the patched word may now decode.
-func (m *Machine) sbInvalidate(addr uint64, size int) {
+// sbCoverAdd adds delta to the coverage count of every text word sb
+// harvested a micro-op from (the trailing sbOpExit retires nothing and
+// covers no word).
+func (m *Machine) sbCoverAdd(sb *superblock, delta int32) {
+	for i := 0; i < sb.n; i++ {
+		m.sbCover[(sb.ops[i].pc-m.exe.TextAddr)/4] += delta
+	}
+}
+
+// sbInvalidate handles a store to [addr, addr+size) in text. Entry slots
+// holding the unbuildable sentinel inside the range are cleared: the
+// patched word may now decode. If the store touches a word some live
+// block covers, every superblock whose span overlaps the store is
+// dropped and all trace links are invalidated (generation bump); the
+// result reports whether that happened. A store no block covers, such
+// as an analysis routine updating its data, costs no registry scan.
+func (m *Machine) sbInvalidate(addr uint64, size int) bool {
 	lo, hi := addr, addr+uint64(size)
-	dropped := false
+	covered := false
+	for a := lo &^ 3; a < hi; a += 4 {
+		if a >= m.exe.TextAddr && a+4 <= m.textEnd {
+			idx := (a - m.exe.TextAddr) / 4
+			if m.sbByIdx[idx] == sbNone {
+				m.sbByIdx[idx] = nil
+			}
+			covered = covered || m.sbCover[idx] != 0
+		}
+	}
+	if !covered {
+		return false
+	}
 	kept := m.sbAll[:0]
 	for _, sb := range m.sbAll {
 		if sb.lo < hi && lo < sb.hi {
 			m.sbByIdx[(sb.entry-m.exe.TextAddr)/4] = nil
+			m.sbCoverAdd(sb, -1)
 			m.sbInval++
-			dropped = true
 			continue
 		}
 		kept = append(kept, sb)
@@ -144,16 +177,8 @@ func (m *Machine) sbInvalidate(addr uint64, size int) {
 		m.sbAll[i] = nil
 	}
 	m.sbAll = kept
-	if dropped {
-		m.sbGen++
-	}
-	for a := lo &^ 3; a < hi; a += 4 {
-		if a >= m.exe.TextAddr && a+4 <= m.textEnd {
-			if idx := (a - m.exe.TextAddr) / 4; m.sbByIdx[idx] == sbNone {
-				m.sbByIdx[idx] = nil
-			}
-		}
-	}
+	m.sbGen++
+	return true
 }
 
 // runSuperblocks is Run's dispatch loop in ModeSuperblock. PCs without
@@ -275,7 +300,7 @@ func (m *Machine) stepFast() error {
 		return m.faultf("instruction fetch from %#x outside text", m.PC)
 	}
 	idx := (m.PC - m.exe.TextAddr) / 4
-	if !m.codeOK[idx] {
+	if !m.codeOK[idx] && !m.redecode(idx) {
 		return m.decodeFault()
 	}
 	m.Icount++
@@ -295,7 +320,7 @@ func (m *Machine) buildSB(entry uint64) *superblock {
 			break
 		}
 		idx := (pc - m.exe.TextAddr) / 4
-		if !m.codeOK[idx] {
+		if !m.codeOK[idx] && !m.redecode(idx) {
 			break
 		}
 		inst := m.code[idx]
@@ -479,9 +504,9 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 		}
 	}
 	// Stores share one closure shape; the width switch is on a bound
-	// constant, which the compiler folds per call site anyway — and
-	// store throughput is dominated by the text-range test.
+	// constant, which the compiler folds per call site anyway.
 	size := uint64(i.Op.MemBytes())
+	align := size - 1 // a mask, not addr%size: no divide per store
 	op := i.Op
 	return func(m *Machine) uint8 {
 		addr := uint64(m.Reg[rb] + disp)
@@ -489,7 +514,7 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 			return sbFaulted
 		}
 		m.Stores++
-		if addr%size != 0 {
+		if addr&align != 0 {
 			m.Unaligned++
 		}
 		v := uint64(m.Reg[ra])
@@ -503,9 +528,7 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 		default: // OpStb
 			m.Mem[addr] = byte(v)
 		}
-		if addr < textEnd && addr+size > textAddr {
-			m.redecode(addr, int(size))
-			m.sbInvalidate(addr, int(size))
+		if addr < textEnd && addr+size > textAddr && m.textStore(addr, int(size)) {
 			return sbTextStore
 		}
 		return sbOK

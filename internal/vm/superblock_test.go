@@ -2,6 +2,7 @@ package vm
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -13,18 +14,19 @@ import (
 // vmState captures everything architecturally observable about a halted
 // machine, for differential comparison across dispatch modes.
 type vmState struct {
-	exit      int
-	errText   string
-	pc        uint64
-	regs      [32]int64
-	memDigest [32]byte
-	icount    uint64
-	loads     uint64
-	stores    uint64
-	unaligned uint64
-	syscalls  uint64
-	stdout    string
-	files     string
+	exit       int
+	errText    string
+	pc         uint64
+	regs       [32]int64
+	memDigest  [32]byte
+	icount     uint64
+	loads      uint64
+	stores     uint64
+	textStores uint64
+	unaligned  uint64
+	syscalls   uint64
+	stdout     string
+	files      string
 }
 
 func runMode(t *testing.T, exe *aout.File, cfg Config, mode Mode) (*Machine, vmState) {
@@ -36,15 +38,16 @@ func runMode(t *testing.T, exe *aout.File, cfg Config, mode Mode) (*Machine, vmS
 	}
 	code, rerr := m.Run()
 	st := vmState{
-		exit:      code,
-		pc:        m.PC,
-		memDigest: sha256.Sum256(m.Mem),
-		icount:    m.Icount,
-		loads:     m.Loads,
-		stores:    m.Stores,
-		unaligned: m.Unaligned,
-		syscalls:  m.Syscalls,
-		stdout:    string(m.Stdout),
+		exit:       code,
+		pc:         m.PC,
+		memDigest:  sha256.Sum256(m.Mem),
+		icount:     m.Icount,
+		loads:      m.Loads,
+		stores:     m.Stores,
+		textStores: m.TextStores,
+		unaligned:  m.Unaligned,
+		syscalls:   m.Syscalls,
+		stdout:     string(m.Stdout),
 	}
 	if rerr != nil {
 		st.errText = rerr.Error()
@@ -317,6 +320,165 @@ patch:
 	m, _ := runMode(t, exe, Config{}, ModeSuperblock)
 	if m.sbInval == 0 {
 		t.Error("store into a cached superblock recorded no invalidation")
+	}
+}
+
+// TestSuperblockUncoveredTextStore is the analysis-data pattern: a loop
+// updates a counter that lives in the text segment, inside the span of
+// the loop's own block (the block harvests through a br around it) but
+// in no block's micro-ops. (The assembler takes no data directives in
+// .text; the counter's initial word is call_pal 0, which encodes as 0.) The stores must drop nothing and must not
+// leave the running block: after the first iteration no block is
+// built, and each iteration is one linked block transition.
+func TestSuperblockUncoveredTextStore(t *testing.T) {
+	src := func(n int) string {
+		return fmt.Sprintf(`
+	.text
+	.globl __start
+	.ent __start
+__start:
+	la t0, counter
+	li s0, %d
+loop:
+	ldl t1, 0(t0)
+	addl t1, 3, t1
+	stl t1, 0(t0)
+	br skip
+counter:
+	call_pal 0
+skip:
+	subq s0, 1, s0
+	bgt s0, loop
+	ldl a0, 0(t0)
+	and a0, 0xff, a0
+	call_pal 0
+	.end __start
+`, n)
+	}
+	const n = 400
+	exe := build(t, src(n))
+	st := diffModes(t, exe, Config{})
+	if st.exit != (3*n)&0xff || st.errText != "" {
+		t.Fatalf("exit %d (%q), want %d", st.exit, st.errText, (3*n)&0xff)
+	}
+	if st.textStores != n {
+		t.Errorf("text stores = %d, want %d", st.textStores, n)
+	}
+	m, _ := runMode(t, exe, Config{}, ModeSuperblock)
+	short, _ := runMode(t, build(t, src(2)), Config{}, ModeSuperblock)
+	if m.sbInval != 0 {
+		t.Errorf("sbInval = %d, want 0: stores hit no harvested code", m.sbInval)
+	}
+	if m.sbBuilt != short.sbBuilt {
+		t.Errorf("sbBuilt = %d over %d iterations, %d over 2: blocks rebuilt", m.sbBuilt, n, short.sbBuilt)
+	}
+	if m.sbLinks == 0 {
+		t.Error("no trace links installed")
+	}
+	if m.sbHits > n+2 {
+		t.Errorf("sbHits = %d for %d iterations: text stores left the running block", m.sbHits, n)
+	}
+}
+
+// TestSuperblockBrCoveredTextStore patches a word that blocks reach only
+// by harvesting through a br. Coverage follows the harvested micro-ops,
+// not contiguity from the entry, so the store must still drop them and
+// the next pass must run the patched instruction. The first call to
+// poke rewrites target with its own word, so the block poke returns to
+// is built before the real patch and would run it stale.
+func TestSuperblockBrCoveredTextStore(t *testing.T) {
+	exe := build(t, `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	la t0, patch
+	la t1, target
+	ldl t2, 0(t1)
+	li s0, 3
+	clr s1
+again:
+	br hop
+	call_pal 0
+hop:
+target:
+	addq s1, 1, s1
+	subq s0, 1, s0
+	beq s0, done
+	bsr ra, poke
+	ldl t2, 0(t0)
+	br again
+done:
+	mov s1, a0
+	call_pal 0
+patch:
+	addq s1, 100, s1
+	.end __start
+	.ent poke
+poke:
+	stl t2, 0(t1)
+	ret (ra)
+	.end poke
+`)
+	st := diffModes(t, exe, Config{})
+	if st.exit != 102 {
+		t.Errorf("exit = %d, want 102 (patched instruction not executed)", st.exit)
+	}
+	m, _ := runMode(t, exe, Config{}, ModeSuperblock)
+	if m.sbInval == 0 {
+		t.Error("store into br-harvested code recorded no invalidation")
+	}
+}
+
+// TestSuperblockPatchUnbuildableWord turns an undecodable data word,
+// which the superblock cache has marked unbuildable, into an
+// instruction and then jumps there. The store must clear the sentinel
+// and the stale predecode slot must decode on fetch, in every mode.
+func TestSuperblockPatchUnbuildableWord(t *testing.T) {
+	exe := build(t, `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	la t0, patch
+	la t1, target
+	ldl t2, 0(t0)
+	stl t2, 0(t1)
+	li a0, 13
+	br target
+patch:
+	lda a0, 77(zero)
+target:
+	call_pal 0
+	call_pal 0
+	.end __start
+`)
+	// Overwrite the placeholder with a word of an unsupported major
+	// opcode, as the analysis image's data blobs hold.
+	target := exe.Symbols[exe.SymIndex("target")].Value
+	binary.LittleEndian.PutUint32(exe.Text[target-exe.TextAddr:], 0x04000000)
+	st := diffModes(t, exe, Config{})
+	if st.exit != 77 || st.errText != "" {
+		t.Fatalf("exit = %d (%q), want 77 (patched instruction not executed)", st.exit, st.errText)
+	}
+	// Mark the data word unbuildable before the run, as a dispatch to it
+	// would, and require the same outcome.
+	m, err := New(exe, Config{Mode: ModeSuperblock})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.lookupSB(target) != nil || m.sbByIdx[(target-exe.TextAddr)/4] != sbNone {
+		t.Fatal("data word is not marked unbuildable")
+	}
+	if code, err := m.Run(); code != 77 || err != nil {
+		t.Errorf("with sentinel: exit %d, %v; want 77", code, err)
+	}
+	// The store cleared the sentinel, so the patched word was harvested.
+	if sb := m.sbByIdx[(target-exe.TextAddr)/4]; sb == nil || sb == sbNone {
+		t.Error("patched word still single-stepped: sentinel not cleared")
+	}
+	if m.TextStores != 1 {
+		t.Errorf("TextStores = %d, want 1", m.TextStores)
 	}
 }
 

@@ -76,7 +76,7 @@ type Config struct {
 	Mode Mode
 	// noPredecode disables the text predecode cache, re-decoding every
 	// retired instruction as earlier versions did. Ablation knob for
-	// BenchmarkVMRun; not exported because there is no reason to run
+	// the tests; not exported because there is no reason to run
 	// this way in production (use Mode instead).
 	noPredecode bool
 	// noSuperblock caps dispatch at the predecode fast path, mirroring
@@ -106,7 +106,11 @@ type Machine struct {
 	Loads     uint64
 	Stores    uint64
 	Unaligned uint64 // memory accesses not naturally aligned (kernel-fixup equivalent)
-	Syscalls  uint64 // CALL_PAL services dispatched
+	// TextStores counts stores that touch the text segment. Instrumented
+	// executables make them on every analysis-data update (the analysis
+	// image lives between the application's text and data).
+	TextStores uint64
+	Syscalls   uint64 // CALL_PAL services dispatched
 
 	// Stdout and Stderr accumulate writes to fds 1 and 2.
 	Stdout []byte
@@ -120,25 +124,31 @@ type Machine struct {
 	// code/codeOK predecode the text segment at load time, one slot per
 	// word: Step fetches decoded instructions instead of calling
 	// alpha.Decode per retired instruction. Text is not all code —
-	// instrumented executables carry analysis data and constant blobs in
-	// the text segment — so undecodable words simply mark their slot
-	// invalid and fault only if fetched. Stores into text (none of our
-	// programs do this, but the ISA allows it) re-decode the affected
-	// slots to keep the cache coherent.
+	// instrumented executables carry the analysis routines' data and
+	// constant blobs in the text segment — so undecodable words simply
+	// mark their slot invalid and fault only if fetched. For the same
+	// reason instrumented executables store into text routinely (every
+	// counter or cache-tag update of an analysis routine). Such a store
+	// only clears its slots' codeOK; the !codeOK slow path of every fetch
+	// and harvest re-decodes the word from Mem, so data words that are
+	// never executed are never decoded again.
 	code    []alpha.Inst
 	codeOK  []bool
 	textEnd uint64
 	// Superblock cache (ModeSuperblock only; see superblock.go). sbByIdx
 	// maps text word index -> block entered at that PC (sbNone marks
-	// unbuildable entries); sbAll is the registry invalidation scans;
-	// sbGen invalidates trace links wholesale when bumped.
+	// unbuildable entries); sbCover counts, per text word, the live
+	// blocks harvested from it, so a store into an uncovered word skips
+	// invalidation; sbAll is the registry invalidation scans; sbGen
+	// invalidates trace links wholesale when bumped.
 	sbByIdx  []*superblock
+	sbCover  []int32
 	sbAll    []*superblock
 	sbGen    uint64
 	sbBuilt  uint64 // superblocks harvested
 	sbHits   uint64 // block executions (incl. link transitions)
 	sbLinks  uint64 // trace links installed
-	sbInval  uint64 // blocks dropped by stores into text
+	sbInval  uint64 // blocks dropped because a store hit their code
 	heapBase uint64
 	brk      uint64 // application zone break
 	brk2     uint64 // analysis zone break (== brk storage when linked)
@@ -192,6 +202,7 @@ func New(exe *aout.File, cfg Config) (*Machine, error) {
 		}
 		if mode == ModeSuperblock {
 			m.sbByIdx = make([]*superblock, n)
+			m.sbCover = make([]int32, n)
 		}
 	}
 	m.heapBase = align8(bssEnd)
@@ -249,13 +260,14 @@ func (m *Machine) Exited() (bool, int) { return m.halted, m.exitCode }
 func (m *Machine) Run() (int, error) {
 	// Process-wide totals flush as deltas, like the obs counters below,
 	// so repeated Run/Step mixes and many machines aggregate correctly.
-	ti, tl, ts, tu, ty := m.Icount, m.Loads, m.Stores, m.Unaligned, m.Syscalls
+	ti, tl, ts, tt, tu, ty := m.Icount, m.Loads, m.Stores, m.TextStores, m.Unaligned, m.Syscalls
 	sb0, sh0, sl0, sv0 := m.sbBuilt, m.sbHits, m.sbLinks, m.sbInval
 	defer func() {
 		totalRuns.Add(1)
 		totalInstr.Add(m.Icount - ti)
 		totalLoads.Add(m.Loads - tl)
 		totalStores.Add(m.Stores - ts)
+		totalTextStores.Add(m.TextStores - tt)
 		totalUnaligned.Add(m.Unaligned - tu)
 		totalSyscalls.Add(m.Syscalls - ty)
 		totalSBBuilt.Add(m.sbBuilt - sb0)
@@ -271,11 +283,12 @@ func (m *Machine) Run() (int, error) {
 		_, sp := m.cfg.Obs.Start("vm.run", spanAttrs...)
 		// Counters are flushed as deltas so repeated Run/Step mixes and
 		// multiple machines sharing one context aggregate correctly.
-		i0, l0, s0, u0, p0 := m.Icount, m.Loads, m.Stores, m.Unaligned, m.Syscalls
+		i0, l0, s0, t0, u0, p0 := m.Icount, m.Loads, m.Stores, m.TextStores, m.Unaligned, m.Syscalls
 		defer func() {
 			m.cfg.Obs.Count("vm.icount", int64(m.Icount-i0))
 			m.cfg.Obs.Count("vm.loads", int64(m.Loads-l0))
 			m.cfg.Obs.Count("vm.stores", int64(m.Stores-s0))
+			m.cfg.Obs.Count("vm.text_stores", int64(m.TextStores-t0))
 			m.cfg.Obs.Count("vm.unaligned", int64(m.Unaligned-u0))
 			m.cfg.Obs.Count("vm.syscalls", int64(m.Syscalls-p0))
 			if m.sbByIdx != nil {
@@ -308,7 +321,7 @@ func (m *Machine) Run() (int, error) {
 				return 0, m.faultf("instruction fetch from %#x outside text", m.PC)
 			}
 			idx := (m.PC - m.exe.TextAddr) / 4
-			if !m.codeOK[idx] {
+			if !m.codeOK[idx] && !m.redecode(idx) {
 				return 0, m.decodeFault()
 			}
 			m.Icount++
@@ -343,7 +356,7 @@ func (m *Machine) fetch() (alpha.Inst, error) {
 	}
 	if m.code != nil {
 		idx := (m.PC - m.exe.TextAddr) / 4
-		if !m.codeOK[idx] {
+		if !m.codeOK[idx] && !m.redecode(idx) {
 			return alpha.Inst{}, m.decodeFault()
 		}
 		return m.code[idx], nil
@@ -591,29 +604,41 @@ func (m *Machine) store(i alpha.Inst) error {
 	for j := 0; j < size; j++ {
 		m.Mem[addr+uint64(j)] = byte(v >> (8 * j))
 	}
-	if m.code != nil && addr < m.textEnd && addr+uint64(size) > m.exe.TextAddr {
-		m.redecode(addr, size)
-		if m.sbByIdx != nil {
-			m.sbInvalidate(addr, size)
-		}
+	if addr < m.textEnd && addr+uint64(size) > m.exe.TextAddr {
+		m.textStore(addr, size)
 	}
 	return nil
 }
 
-// redecode refreshes the predecode cache slots covering a store into
-// the text segment (self-modifying code; nothing we run does this, but
-// the cache must not change the machine's semantics).
-func (m *Machine) redecode(addr uint64, size int) {
-	lo := addr &^ 3
-	hi := (addr + uint64(size) + 3) &^ 3
-	for a := lo; a < hi; a += 4 {
-		if a < m.exe.TextAddr || a+4 > m.textEnd {
-			continue
-		}
-		idx := (a - m.exe.TextAddr) / 4
-		inst, err := alpha.Decode(le32(m.Mem[a:]))
-		m.code[idx], m.codeOK[idx] = inst, err == nil
+// textStore counts a store into the text segment and keeps the decode
+// caches coherent with it: the stored words' predecode slots are
+// invalidated, and superblocks harvested from them are dropped. It reports whether
+// any block was dropped, in which case a running superblock must be
+// left (its remaining ops may be the bytes just overwritten).
+func (m *Machine) textStore(addr uint64, size int) bool {
+	m.TextStores++
+	if m.code == nil {
+		return false
 	}
+	for a := addr &^ 3; a < addr+uint64(size); a += 4 {
+		if a >= m.exe.TextAddr && a+4 <= m.textEnd {
+			idx := (a - m.exe.TextAddr) / 4
+			m.codeOK[idx] = false
+		}
+	}
+	return m.sbByIdx != nil && m.sbInvalidate(addr, size)
+}
+
+// redecode is the !codeOK slow path of fetch and harvest: it decodes
+// text word idx from Mem, which a store into text may have changed
+// since load, and reports whether the word is an instruction. Decoding
+// happens at the first fetch after the store, not at the store, so
+// analysis data that is stored often and never executed is never
+// decoded. For an undecodable word decodeFault produces the fault text.
+func (m *Machine) redecode(idx uint64) bool {
+	inst, err := alpha.Decode(le32(m.Mem[m.exe.TextAddr+idx*4:]))
+	m.code[idx], m.codeOK[idx] = inst, err == nil
+	return m.codeOK[idx]
 }
 
 func (m *Machine) faultf(format string, args ...any) error {

@@ -709,9 +709,11 @@ patch:
 	}
 }
 
-// BenchmarkVMRun measures the interpreter's host-side throughput with
-// the predecode cache on (the default) and off (decode every retired
-// instruction, the pre-cache behavior).
+// BenchmarkVMRun measures the interpreter's host-side throughput in each
+// dispatch mode: superblock (the default), predecode, and decode-each
+// (plain, decoding every retired instruction). Every iteration loads a
+// fresh machine, so the rate includes vm.New and, in superblock mode,
+// harvesting the loop's few blocks before 3M instructions run from them.
 func BenchmarkVMRun(b *testing.B) {
 	src := `
 	.text
@@ -751,43 +753,4 @@ loop:
 			b.ReportMetric(float64(insts)/1e6/b.Elapsed().Seconds(), "Minst/s")
 		})
 	}
-}
-
-// BenchmarkVMRunSuperblock measures superblock dispatch alone on the
-// same workload, reusing one machine's warmed block cache across
-// iterations via fresh machines (the cache is per-machine, so this also
-// prices harvesting: each iteration rebuilds the handful of blocks and
-// then runs 3M instructions out of them).
-func BenchmarkVMRunSuperblock(b *testing.B) {
-	src := `
-	.text
-	.globl __start
-	.ent __start
-__start:
-	li t0, 500000
-	clr t1
-loop:
-	addq t1, t0, t1
-	xor t1, t0, t2
-	s8addq t2, t1, t3
-	cmplt t3, t1, t4
-	subq t0, 1, t0
-	bne t0, loop
-	clr a0
-	call_pal 0
-	.end __start
-`
-	exe := build(b, src)
-	var insts uint64
-	for i := 0; i < b.N; i++ {
-		m, err := New(exe, Config{Mode: ModeSuperblock})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := m.Run(); err != nil {
-			b.Fatal(err)
-		}
-		insts += m.Icount
-	}
-	b.ReportMetric(float64(insts)/1e6/b.Elapsed().Seconds(), "Minst/s")
 }

@@ -11,7 +11,9 @@ import (
 	"testing"
 
 	"atom"
+	"atom/internal/obs"
 	"atom/internal/prof"
+	"atom/internal/spec"
 	"atom/internal/vm"
 )
 
@@ -109,6 +111,55 @@ func TestVMModeDifferentialAllTools(t *testing.T) {
 				t.Fatal(err)
 			}
 			check(t, res.Exe, res.HeapOffset)
+		})
+	}
+}
+
+// TestVMModeDenseToolsKeepBlocks runs the dense tools on a suite program
+// in superblock mode. Their analysis routines keep counters and cache
+// tags in the text segment, so the runs store into text; none of those
+// stores hits harvested code, so no block may be dropped and blocks keep
+// running. This shows that TestVMModeDifferentialAllTools exercises the
+// coverage-gated store path, not the invalidation path.
+func TestVMModeDenseToolsKeepBlocks(t *testing.T) {
+	const prog = "queens"
+	app, err := spec.Build(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, _ := spec.ByName(prog)
+	for _, name := range []string{"cache", "pipe", "branch", "dyninst"} {
+		t.Run(name, func(t *testing.T) {
+			tool, err := atom.ToolByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := atom.Instrument(app, tool, atom.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := obs.New()
+			m, err := vm.New(res.Exe, vm.Config{
+				Stdin:              p.Stdin,
+				FS:                 p.FS,
+				AnalysisHeapOffset: res.HeapOffset,
+				Mode:               vm.ModeSuperblock,
+				Obs:                ctx,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := m.Run(); err != nil {
+				t.Fatal(err)
+			}
+			c := map[string]int64{}
+			for _, kv := range ctx.Counters() {
+				c[kv.Name] = kv.Value
+			}
+			if c["vm.text_stores"] == 0 || c["vm.sb.invalidations"] != 0 || c["vm.sb.hits"] == 0 {
+				t.Errorf("vm.text_stores %d, vm.sb.invalidations %d, vm.sb.hits %d; want >0, 0, >0",
+					c["vm.text_stores"], c["vm.sb.invalidations"], c["vm.sb.hits"])
+			}
 		})
 	}
 }
