@@ -1,201 +1,42 @@
 #!/bin/sh
-# CI gate: formatting, vet, build, race-enabled tests, benchmark smoke,
-# and a trace smoke that drives the full pipeline and validates the
-# emitted Chrome trace. Equivalent to `make ci`, for environments
-# without make.
+# The single definition of every CI gate. `sh ci.sh` runs all of them in
+# order; `sh ci.sh gate ...` runs the named ones. The Makefile targets
+# call this script, so `make vmsmoke` and `sh ci.sh vmsmoke` are the same
+# check. `test` and `bench` are extra targets outside the default run:
+# `race` covers the tests, and `bench` measures rather than gates.
 set -eux
 
-fmt=$(gofmt -l .)
-if [ -n "$fmt" ]; then
-    echo "gofmt: needs formatting: $fmt" >&2
-    exit 1
-fi
+GO=${GO:-go}
+GATES="fmt vet vettool build race benchsmoke tracesmoke profsmoke vetsmoke
+inlinesmoke irsmoke persistsmoke telemetrysmoke analyzesmoke vmsmoke benchmod"
 
-go vet ./...
-go build ./...
-
-# Repo lint gate: the custom vettool enforces project conventions the
-# stock vet cannot — no ATOM_CACHE_DIR reads outside cmd/atom, and the
-# *obs.Ctx stage context leading every exported signature — through the
-# cmd/go vettool protocol.
-vettmp=$(mktemp -d)
-go build -o "$vettmp/atomvet" ./cmd/atomvet
-go vet -vettool="$vettmp/atomvet" ./...
-rm -rf "$vettmp"
-
-go test -race ./...
-go test -bench=. -benchtime=1x -run='^$' ./...
-
-# Trace smoke: compile and link a program, instrument it with tracing
-# on, and validate the trace file (non-empty, well-formed, covering
-# compile/link/plan/image-build/apply with cache attribution).
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
-cat > "$tmp/smoke.c" <<'EOF'
+A="$tmp/bin/atom"
+
+# prog NAME builds the CLIs (once) and $tmp/NAME.x from the MiniC
+# source below (once), so every gate shares one build of each program.
+prog() {
+    if [ ! -d "$tmp/bin" ]; then
+        mkdir "$tmp/bin"
+        $GO build -o "$tmp/bin/" ./cmd/atom ./cmd/minicc ./cmd/alink ./cmd/aasm
+    fi
+    [ -f "$tmp/$1.x" ] && return
+    case $1 in
+    smoke)
+        cat > "$tmp/smoke.c" <<'EOF'
 #include <stdio.h>
 int main() { printf("ok\n"); return 0; }
 EOF
-go run ./cmd/minicc -o "$tmp/smoke.o" "$tmp/smoke.c"
-go run ./cmd/alink -o "$tmp/smoke.x" "$tmp/smoke.o"
-go run ./cmd/atom -t branch -trace "$tmp/smoke.trace.json" -o "$tmp/smoke.atom" "$tmp/smoke.x"
-go run ./cmd/atom -verify-trace "$tmp/smoke.trace.json"
-
-# Profile smoke: instrument and run the program with the sampling
-# profiler attached, twice; the folded-stack profiles must be
-# syntactically valid and byte-identical (deterministic sampling).
-go run ./cmd/atom -t branch -run -profile "$tmp/p1.folded" -profile-format=folded -profile-period 500 "$tmp/smoke.x" > /dev/null
-go run ./cmd/atom -t branch -run -profile "$tmp/p2.folded" -profile-format=folded -profile-period 500 "$tmp/smoke.x" > /dev/null
-go run ./cmd/atom -verify-folded "$tmp/p1.folded"
-cmp "$tmp/p1.folded" "$tmp/p2.folded"
-go run ./cmd/atom -t branch -run -profile "$tmp/p.flat" -profile-period 500 "$tmp/smoke.x" > /dev/null
-grep -q '# atom prof: period=500' "$tmp/p.flat"
-
-# Vet gate: instrument the smoke program with EVERY built-in tool under
-# -vet, so the IR verifier checks the input program, the layout PC maps,
-# and the rewritten text of each tool's output.
-go build -o "$tmp/atom" ./cmd/atom
-for t in $("$tmp/atom" -list | awk '{print $1}'); do
-    "$tmp/atom" -vet -t "$t" -o "$tmp/smoke.$t.atom" "$tmp/smoke.x"
-done
-
-# Inline gate: every tool verifies under -vet with the inliner both on
-# (the default, checked just above) and off, and the examples must
-# produce identical program and analysis output with and without
-# -noinline (the "instrumented:" size line legitimately differs between
-# modes, so it is filtered before comparing).
-for t in $("$tmp/atom" -list | awk '{print $1}'); do
-    "$tmp/atom" -vet -noinline -t "$t" -o "$tmp/smoke.$t.noinline.atom" "$tmp/smoke.x"
-done
-go run ./examples/quickstart | grep -v '^instrumented:' > "$tmp/q.on"
-go run ./examples/quickstart -noinline | grep -v '^instrumented:' > "$tmp/q.off"
-cmp "$tmp/q.on" "$tmp/q.off"
-go run ./examples/cachesim > "$tmp/c.on"
-go run ./examples/cachesim -noinline > "$tmp/c.off"
-cmp "$tmp/c.on" "$tmp/c.off"
-
-# IR gate: serialize the smoke program's lifted IR, then instrument from
-# the blob with EVERY tool (in a separate process from the emit); each
-# output must be byte-identical to the vet gate's in-memory result.
-"$tmp/atom" -emit-ir "$tmp/ir" "$tmp/smoke.x"
-for t in $("$tmp/atom" -list | awk '{print $1}'); do
-    "$tmp/atom" -vet -t "$t" -ir-in "$tmp/ir/smoke.ir" -o "$tmp/smoke.$t.ir.atom"
-    cmp "$tmp/smoke.$t.atom" "$tmp/smoke.$t.ir.atom"
-done
-
-# Persistence gate: two fresh processes sharing one -cache-dir. The first
-# (cold) builds and persists every artifact; the second must instrument
-# with ZERO builds in every cache — the tool image and the IR blob served
-# from disk — and byte-identical output. Then every blob is corrupted in
-# place: the third run must quarantine what it reads, rebuild silently
-# (exit 0), and still produce identical output.
-"$tmp/atom" -t branch -cache-dir "$tmp/cache" -o "$tmp/smoke.cold.atom" "$tmp/smoke.x"
-"$tmp/atom" -t branch -cache-dir "$tmp/cache" -stats -o "$tmp/smoke.warm.atom" "$tmp/smoke.x" > "$tmp/warm.stats"
-cmp "$tmp/smoke.cold.atom" "$tmp/smoke.warm.atom"
-grep -q 'image cache:.*, 0 builds' "$tmp/warm.stats"
-grep -q 'object cache:.*, 0 builds' "$tmp/warm.stats"
-grep -q 'ir cache:.*, 0 builds' "$tmp/warm.stats"
-grep -Eq 'image cache:.* [1-9][0-9]* disk hits' "$tmp/warm.stats"
-grep -Eq 'ir cache:.* [1-9][0-9]* disk hits' "$tmp/warm.stats"
-for f in $(find "$tmp/cache/objects" -type f); do
-    head -c 20 "$f" > "$f.trunc" && mv "$f.trunc" "$f"
-done
-"$tmp/atom" -t branch -cache-dir "$tmp/cache" -stats -o "$tmp/smoke.rebuilt.atom" "$tmp/smoke.x" > "$tmp/rebuild.stats"
-cmp "$tmp/smoke.cold.atom" "$tmp/smoke.rebuilt.atom"
-grep -Eq 'disk store:.* [1-9][0-9]* corrupt' "$tmp/rebuild.stats"
-
-# Telemetry gate: the embedded debug server, live. First a multi-program
-# instrument batch brings the server up and down cleanly and counts its
-# programs (atom.batch.done) in the metrics snapshot. Then a long VM run
-# with -debug-addr is scraped mid-flight — /healthz, /metrics twice (the
-# second monotonically >= the first on every _total, and the series
-# ordering byte-identical), and 100 NDJSON events — using atom's own
-# -scrape so the gate needs no curl; the run must still exit 0.
-cp "$tmp/smoke.x" "$tmp/smoke2.x"
-cp "$tmp/smoke.x" "$tmp/smoke3.x"
-"$tmp/atom" -t branch -j 2 -debug-addr 127.0.0.1:0 -metrics "$tmp/batch.metrics" \
-    "$tmp/smoke.x" "$tmp/smoke2.x" "$tmp/smoke3.x" 2> "$tmp/batch.err"
-grep -q 'telemetry listening on http://' "$tmp/batch.err"
-grep -Eq 'atom\.batch\.done +3' "$tmp/batch.metrics"
-cat > "$tmp/long.c" <<'EOF'
+        ;;
+    long)
+        cat > "$tmp/long.c" <<'EOF'
 #include <stdio.h>
 int main() { long i, s = 0; for (i = 0; i < 5000000; i++) s += i; printf("%ld\n", s); return 0; }
 EOF
-go run ./cmd/minicc -o "$tmp/long.o" "$tmp/long.c"
-go run ./cmd/alink -o "$tmp/long.x" "$tmp/long.o"
-"$tmp/atom" -t branch -run -debug-addr 127.0.0.1:0 "$tmp/long.x" > /dev/null 2> "$tmp/tel.err" &
-telpid=$!
-addr=""
-i=0
-while [ $i -lt 200 ]; do
-    addr=$(sed -n 's|.*telemetry listening on http://||p' "$tmp/tel.err")
-    [ -n "$addr" ] && break
-    i=$((i + 1))
-    sleep 0.1
-done
-test -n "$addr"
-"$tmp/atom" -scrape "http://$addr/healthz" | grep -qx ok
-"$tmp/atom" -scrape "http://$addr/metrics" > "$tmp/m1.txt"
-"$tmp/atom" -scrape "http://$addr/debug/events?n=100" > "$tmp/ev.txt"
-"$tmp/atom" -scrape "http://$addr/metrics" > "$tmp/m2.txt"
-test "$(wc -l < "$tmp/ev.txt")" -eq 100
-test "$(grep -c '"seq"' "$tmp/ev.txt")" -eq 100
-grep -q '^atom_store_image_miss_total' "$tmp/m1.txt"
-awk '!/^#/{print $1}' "$tmp/m1.txt" > "$tmp/names1"
-awk '!/^#/{print $1}' "$tmp/m2.txt" > "$tmp/names2"
-grep -Fxf "$tmp/names1" "$tmp/names2" > "$tmp/names2.common"
-cmp "$tmp/names1" "$tmp/names2.common"
-awk 'NR==FNR { if ($1 ~ /_total/) v[$1]=$2; next }
-     ($1 in v) && ($2+0 < v[$1]+0) { print "regressed:", $1, v[$1], "->", $2; bad=1 }
-     END { exit bad }' "$tmp/m1.txt" "$tmp/m2.txt"
-wait "$telpid"
-
-# Analyze gate: the static-analysis pass manager reports every built-in
-# tool image clean, byte-identically (text and JSON) across two runs,
-# and the smoke programs analyze clean as applications; then a seeded
-# save-discipline defect must be caught — an image that clobbers a
-# callee-save register fails -analyze with the toollint diagnostic.
-for t in $("$tmp/atom" -list | awk '{print $1}'); do
-    "$tmp/atom" -analyze -t "$t" -analyze-json "$tmp/an1.$t.json" > "$tmp/an1.$t.txt"
-    "$tmp/atom" -analyze -t "$t" -analyze-json "$tmp/an2.$t.json" > "$tmp/an2.$t.txt"
-    cmp "$tmp/an1.$t.txt" "$tmp/an2.$t.txt"
-    cmp "$tmp/an1.$t.json" "$tmp/an2.$t.json"
-    grep -q "tool:$t: clean" "$tmp/an1.$t.txt"
-done
-"$tmp/atom" -analyze "$tmp/smoke.x" "$tmp/long.x" > "$tmp/an.apps.txt"
-grep -q 'smoke.x: clean' "$tmp/an.apps.txt"
-grep -q 'long.x: clean' "$tmp/an.apps.txt"
-cat > "$tmp/defect.s" <<'EOS'
-	.text
-	.globl main
-	.ent main
-main:
-	clr v0
-	ret (ra)
-	.end main
-
-	.globl Clobber
-	.ent Clobber
-Clobber:
-	addq s0, 1, s0
-	ret (ra)
-	.end Clobber
-EOS
-go run ./cmd/aasm -o "$tmp/defect.o" "$tmp/defect.s"
-go run ./cmd/alink -o "$tmp/defect.x" "$tmp/defect.o"
-if "$tmp/atom" -analyze -analyze-as tool "$tmp/defect.x" > "$tmp/an.defect.txt"; then
-    echo "analyze: seeded save-discipline defect not caught" >&2
-    exit 1
-fi
-grep -q 'clobbers callee-save register s0' "$tmp/an.defect.txt"
-
-# VM-mode gate: queens (deep recursion, dense conditional branches)
-# uninstrumented and under two tools, executed with every -vm-mode —
-# plain decode-each, predecode, and the trace-linked superblock cache.
-# Stdout, the tool report files, the -stats counter line (so icount,
-# loads, stores match exactly), and the deterministic folded profile
-# must be byte-identical across the dispatch ladder, and the -run bench
-# JSON must carry the schema-v7 vm_minst_s retirement rate.
-cat > "$tmp/queens.c" <<'EOF'
+        ;;
+    queens)
+        cat > "$tmp/queens.c" <<'EOF'
 #include <stdio.h>
 long colUsed[16];
 long diag1[32];
@@ -219,22 +60,255 @@ int main() {
 	return 0;
 }
 EOF
-go run ./cmd/minicc -o "$tmp/queens.o" "$tmp/queens.c"
-go run ./cmd/alink -o "$tmp/queens.x" "$tmp/queens.o"
-for cfg in none branch cache; do
-    tflag=""
-    if [ "$cfg" != none ]; then tflag="-t $cfg"; fi
-    for mode in plain predecode superblock; do
-        d="$tmp/vm/$cfg.$mode"
-        mkdir -p "$d"
-        (cd "$d" && "$tmp/atom" $tflag -run -vm-mode="$mode" -stats "$tmp/queens.x" > out.txt 2> stats.txt)
-        (cd "$d" && "$tmp/atom" $tflag -run -vm-mode="$mode" -profile p.folded -profile-format=folded -profile-period 997 "$tmp/queens.x" > /dev/null)
+        ;;
+    esac
+    "$tmp/bin/minicc" -o "$tmp/$1.o" "$tmp/$1.c"
+    "$tmp/bin/alink" -o "$tmp/$1.x" "$tmp/$1.o"
+}
+
+gate_fmt() {
+    out=$(gofmt -l .)
+    if [ -n "$out" ]; then
+        echo "gofmt: needs formatting: $out" >&2
+        exit 1
+    fi
+}
+
+gate_vet() { $GO vet ./...; }
+
+# Repo lint: the custom vettool enforces project conventions the stock
+# vet cannot — no ATOM_CACHE_DIR reads outside cmd/atom, and the
+# *obs.Ctx stage context leading every exported signature — through the
+# cmd/go vettool protocol.
+gate_vettool() {
+    $GO build -o "$w/atomvet" ./cmd/atomvet
+    $GO vet -vettool="$w/atomvet" ./...
+}
+
+gate_build() { $GO build ./...; }
+gate_test() { $GO test ./...; }
+gate_race() { $GO test -race ./...; }
+
+# Every benchmark once, no measurement: proves the harness still runs.
+gate_benchsmoke() { $GO test -bench=. -benchtime=1x -run='^$' ./...; }
+
+# Real measurements (slow); see EXPERIMENTS.md for recorded numbers.
+gate_bench() { $GO test -bench=. -benchmem -run='^$' .; }
+
+# The benchmark harness under bench/ is a separate module, so the root
+# `go build ./...` never compiles it; vet and test it on its own so an
+# internal API change cannot break it unnoticed.
+gate_benchmod() { (cd bench && $GO vet ./... && $GO test ./...); }
+
+# Trace smoke: instrument with tracing on and validate the trace file
+# (non-empty, well-formed, covering compile/link/plan/image-build/apply
+# with cache attribution).
+gate_tracesmoke() {
+    prog smoke
+    "$A" -t branch -trace "$w/smoke.trace.json" -o "$w/smoke.atom" "$tmp/smoke.x"
+    "$A" -verify-trace "$w/smoke.trace.json"
+}
+
+# Profile smoke: instrument and run with the sampling profiler, twice;
+# the folded profiles must validate and be byte-identical (deterministic
+# sampling), and the flat report must carry its header.
+gate_profsmoke() {
+    prog smoke
+    for i in 1 2; do
+        "$A" -t branch -run -profile "$w/p$i.folded" -profile-format=folded -profile-period 500 "$tmp/smoke.x" > /dev/null
     done
-    grep -q '^icount=' "$tmp/vm/$cfg.plain/stats.txt"
-    diff -r "$tmp/vm/$cfg.plain" "$tmp/vm/$cfg.predecode"
-    diff -r "$tmp/vm/$cfg.plain" "$tmp/vm/$cfg.superblock"
+    "$A" -verify-folded "$w/p1.folded"
+    cmp "$w/p1.folded" "$w/p2.folded"
+    "$A" -t branch -run -profile "$w/p.flat" -profile-period 500 "$tmp/smoke.x" > /dev/null
+    grep -q '# atom prof: period=500' "$w/p.flat"
+}
+
+# Vet gate: every built-in tool under -vet, so the IR verifier checks
+# the input, the layout PC maps, and each tool's rewritten text.
+gate_vetsmoke() {
+    prog smoke
+    for t in $("$A" -list | awk '{print $1}'); do
+        "$A" -vet -t "$t" -o "$w/smoke.$t.atom" "$tmp/smoke.x"
+    done
+}
+
+# Inline gate: every tool verifies under -vet with the inliner on (the
+# default) and off, and the examples produce identical program and
+# analysis output either way (the "instrumented:" size line legitimately
+# differs, so it is filtered).
+gate_inlinesmoke() {
+    prog smoke
+    for t in $("$A" -list | awk '{print $1}'); do
+        "$A" -vet -t "$t" -o "$w/smoke.$t.on.atom" "$tmp/smoke.x"
+        "$A" -vet -noinline -t "$t" -o "$w/smoke.$t.off.atom" "$tmp/smoke.x"
+    done
+    $GO run ./examples/quickstart | grep -v '^instrumented:' > "$w/q.on"
+    $GO run ./examples/quickstart -noinline | grep -v '^instrumented:' > "$w/q.off"
+    cmp "$w/q.on" "$w/q.off"
+    $GO run ./examples/cachesim > "$w/c.on"
+    $GO run ./examples/cachesim -noinline > "$w/c.off"
+    cmp "$w/c.on" "$w/c.off"
+}
+
+# IR gate: serialize the smoke program's lifted IR, then instrument from
+# the blob with every tool in a separate process; each output must be
+# byte-identical to the in-memory path.
+gate_irsmoke() {
+    prog smoke
+    "$A" -emit-ir "$w/ir" "$tmp/smoke.x"
+    for t in $("$A" -list | awk '{print $1}'); do
+        "$A" -vet -t "$t" -o "$w/smoke.$t.atom" "$tmp/smoke.x"
+        "$A" -vet -t "$t" -ir-in "$w/ir/smoke.ir" -o "$w/smoke.$t.ir.atom"
+        cmp "$w/smoke.$t.atom" "$w/smoke.$t.ir.atom"
+    done
+}
+
+# Persistence gate: two fresh processes share one -cache-dir; the second
+# must instrument with zero builds (artifacts decoded from disk) and
+# byte-identical output. Then every blob is truncated: a third run must
+# quarantine what it reads, rebuild silently, and match again.
+gate_persistsmoke() {
+    prog smoke
+    "$A" -t branch -cache-dir "$w/cache" -o "$w/smoke.cold.atom" "$tmp/smoke.x"
+    "$A" -t branch -cache-dir "$w/cache" -stats -o "$w/smoke.warm.atom" "$tmp/smoke.x" > "$w/warm.stats"
+    cmp "$w/smoke.cold.atom" "$w/smoke.warm.atom"
+    grep -q 'image cache:.*, 0 builds' "$w/warm.stats"
+    grep -q 'object cache:.*, 0 builds' "$w/warm.stats"
+    grep -q 'ir cache:.*, 0 builds' "$w/warm.stats"
+    grep -Eq 'image cache:.* [1-9][0-9]* disk hits' "$w/warm.stats"
+    grep -Eq 'ir cache:.* [1-9][0-9]* disk hits' "$w/warm.stats"
+    for f in $(find "$w/cache/objects" -type f); do
+        head -c 20 "$f" > "$f.trunc" && mv "$f.trunc" "$f"
+    done
+    "$A" -t branch -cache-dir "$w/cache" -stats -o "$w/smoke.rebuilt.atom" "$tmp/smoke.x" > "$w/rebuild.stats"
+    cmp "$w/smoke.cold.atom" "$w/smoke.rebuilt.atom"
+    grep -Eq 'disk store:.* [1-9][0-9]* corrupt' "$w/rebuild.stats"
+}
+
+# Telemetry gate: a batch brings the debug server up and down cleanly
+# and counts its programs (atom.batch.done) in the metrics snapshot.
+# Then a long VM run with -debug-addr is scraped mid-flight — /healthz,
+# /metrics twice (the second >= the first on every _total, series
+# ordering identical), and 100 NDJSON events — with atom's own -scrape,
+# so no curl is needed; the run must still exit 0.
+gate_telemetrysmoke() {
+    prog smoke
+    prog long
+    for i in 1 2 3; do cp "$tmp/smoke.x" "$w/smoke$i.x"; done
+    "$A" -t branch -j 2 -debug-addr 127.0.0.1:0 -metrics "$w/batch.metrics" \
+        "$w/smoke1.x" "$w/smoke2.x" "$w/smoke3.x" 2> "$w/batch.err"
+    grep -q 'telemetry listening on http://' "$w/batch.err"
+    grep -Eq 'atom\.batch\.done +3' "$w/batch.metrics"
+    "$A" -t branch -run -debug-addr 127.0.0.1:0 "$tmp/long.x" > /dev/null 2> "$w/tel.err" &
+    telpid=$!
+    addr=""
+    i=0
+    while [ $i -lt 200 ]; do
+        addr=$(sed -n 's|.*telemetry listening on http://||p' "$w/tel.err")
+        [ -n "$addr" ] && break
+        i=$((i + 1))
+        sleep 0.1
+    done
+    test -n "$addr"
+    "$A" -scrape "http://$addr/healthz" | grep -qx ok
+    "$A" -scrape "http://$addr/metrics" > "$w/m1.txt"
+    "$A" -scrape "http://$addr/debug/events?n=100" > "$w/ev.txt"
+    "$A" -scrape "http://$addr/metrics" > "$w/m2.txt"
+    test "$(wc -l < "$w/ev.txt")" -eq 100
+    test "$(grep -c '"seq"' "$w/ev.txt")" -eq 100
+    grep -q '^atom_store_image_miss_total' "$w/m1.txt"
+    awk '!/^#/{print $1}' "$w/m1.txt" > "$w/names1"
+    awk '!/^#/{print $1}' "$w/m2.txt" > "$w/names2"
+    grep -Fxf "$w/names1" "$w/names2" > "$w/names2.common"
+    cmp "$w/names1" "$w/names2.common"
+    awk 'NR==FNR { if ($1 ~ /_total/) v[$1]=$2; next }
+         ($1 in v) && ($2+0 < v[$1]+0) { print "regressed:", $1, v[$1], "->", $2; bad=1 }
+         END { exit bad }' "$w/m1.txt" "$w/m2.txt"
+    wait "$telpid"
+}
+
+# Analyze gate: every built-in tool image reports clean, byte-identically
+# (text and JSON) across two runs; the smoke programs analyze clean as
+# applications; and a seeded save-discipline defect — an image that
+# clobbers a callee-save register — fails -analyze with the toollint
+# diagnostic.
+gate_analyzesmoke() {
+    prog smoke
+    prog long
+    for t in $("$A" -list | awk '{print $1}'); do
+        for i in 1 2; do
+            "$A" -analyze -t "$t" -analyze-json "$w/an$i.$t.json" > "$w/an$i.$t.txt"
+        done
+        cmp "$w/an1.$t.txt" "$w/an2.$t.txt"
+        cmp "$w/an1.$t.json" "$w/an2.$t.json"
+        grep -q "tool:$t: clean" "$w/an1.$t.txt"
+    done
+    "$A" -analyze "$tmp/smoke.x" "$tmp/long.x" > "$w/an.apps.txt"
+    grep -q 'smoke.x: clean' "$w/an.apps.txt"
+    grep -q 'long.x: clean' "$w/an.apps.txt"
+    cat > "$w/defect.s" <<'EOS'
+	.text
+	.globl main
+	.ent main
+main:
+	clr v0
+	ret (ra)
+	.end main
+
+	.globl Clobber
+	.ent Clobber
+Clobber:
+	addq s0, 1, s0
+	ret (ra)
+	.end Clobber
+EOS
+    "$tmp/bin/aasm" -o "$w/defect.o" "$w/defect.s"
+    "$tmp/bin/alink" -o "$w/defect.x" "$w/defect.o"
+    if "$A" -analyze -analyze-as tool "$w/defect.x" > "$w/an.defect.txt"; then
+        echo "analyze: seeded save-discipline defect not caught" >&2
+        exit 1
+    fi
+    grep -q 'clobbers callee-save register s0' "$w/an.defect.txt"
+}
+
+# VM-mode gate: queens (deep recursion, dense conditional branches)
+# uninstrumented and under two tools, run with every -vm-mode. Stdout,
+# the tool reports, the -stats counter line (icount included) and the
+# folded profile must be byte-identical across the dispatch ladder, and
+# the -run bench JSON must carry the schema-v7 vm_minst_s rate.
+gate_vmsmoke() {
+    prog queens
+    for cfg in none branch cache; do
+        tflag=""
+        if [ "$cfg" != none ]; then tflag="-t $cfg"; fi
+        for mode in plain predecode superblock; do
+            d="$w/vm/$cfg.$mode"
+            mkdir -p "$d"
+            (cd "$d" && "$A" $tflag -run -vm-mode="$mode" -stats "$tmp/queens.x" > out.txt 2> stats.txt)
+            (cd "$d" && "$A" $tflag -run -vm-mode="$mode" -profile p.folded -profile-format=folded -profile-period 997 "$tmp/queens.x" > /dev/null)
+        done
+        grep -q '^icount=' "$w/vm/$cfg.plain/stats.txt"
+        diff -r "$w/vm/$cfg.plain" "$w/vm/$cfg.predecode"
+        diff -r "$w/vm/$cfg.plain" "$w/vm/$cfg.superblock"
+    done
+    grep -q 'queens: n=8 solutions=92' "$w/vm/none.superblock/out.txt"
+    "$A" -run -bench-json "$w/run.json" "$tmp/queens.x" > /dev/null
+    grep -q '"schema": "atom-run/v7"' "$w/run.json"
+    grep -q '"vm_minst_s"' "$w/run.json"
+}
+
+if [ $# -eq 0 ]; then
+    set -- $GATES
+fi
+for g in "$@"; do
+    case " $(echo $GATES) test bench " in
+    *" $g "*) ;;
+    *)
+        echo "ci.sh: unknown gate $g (gates: $(echo $GATES) test bench)" >&2
+        exit 2
+        ;;
+    esac
+    w="$tmp/$g"
+    mkdir -p "$w"
+    "gate_$g"
 done
-grep -q 'queens: n=8 solutions=92' "$tmp/vm/none.superblock/out.txt"
-"$tmp/atom" -run -bench-json "$tmp/vm/run.json" "$tmp/queens.x" > /dev/null
-grep -q '"schema": "atom-run/v7"' "$tmp/vm/run.json"
-grep -q '"vm_minst_s"' "$tmp/vm/run.json"

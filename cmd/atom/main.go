@@ -170,16 +170,18 @@ func run() (code int) {
 		}
 		fmt.Printf("%s: ok (%d stacks)\n", *verifyFolded, n)
 		return 0
-	case *table != "" || (*benchJSON != "" && *toolName == "" && !*runMode && !*analyze && *profilePath == ""):
-		which := *table
-		if which == "" {
-			which = "fig5"
-		}
-		return runTable(which, *progs, *benchJSON, *verbose)
+	}
+	// -table regenerates a paper table (a bare -bench-json defaults to
+	// fig5). It runs below, under the same observability setup as the
+	// other modes; the input and mode checks here do not apply to it.
+	tableName := *table
+	if tableName == "" && *benchJSON != "" && *toolName == "" && !*runMode && !*analyze && *profilePath == "" {
+		tableName = "fig5"
 	}
 	doRun := *runMode || *profilePath != ""
 
 	switch {
+	case tableName != "": // takes no inputs; nothing to check
 	case *emitIR != "" && (*irIn != "" || doRun || *toolName != ""):
 		return fail(fmt.Errorf("-emit-ir only lifts; it cannot be combined with -t, -ir-in or -run"))
 	case *irIn != "" && doRun:
@@ -192,8 +194,8 @@ func run() (code int) {
 		return fail(fmt.Errorf("bad -analyze-as %q (app or tool)", *analyzeAs))
 	}
 	// -analyze with only a tool lints the built image; no input needed.
-	needInput := *irIn == "" && !(*analyze && *toolName != "")
-	needTool := *toolName == "" && !doRun && *emitIR == "" && !*analyze
+	needInput := tableName == "" && *irIn == "" && !(*analyze && *toolName != "")
+	needTool := tableName == "" && *toolName == "" && !doRun && *emitIR == "" && !*analyze
 	if (needInput && flag.NArg() < 1) || needTool {
 		fmt.Fprintln(os.Stderr, "usage: atom prog.x [prog2.x ...] -t tool [-o prog.atom] [-j N] [-mode wrapper|inanalysis] [-heap N] [-vet]")
 		fmt.Fprintln(os.Stderr, "       atom [-t tool] -run [-profile file [-profile-period N] [-profile-format flat|folded]] prog.x [args...]")
@@ -254,20 +256,22 @@ func run() (code int) {
 	}
 
 	// The stage context is nil (near-zero overhead) unless some consumer
-	// of spans or counters is active.
+	// of spans or counters is active. reg is this invocation's own
+	// aggregate, behind -metrics and -bench-json; /metrics reads the
+	// process-wide one attached under -debug-addr.
 	var (
-		traceSink   *obs.TraceSink
-		metricsSink *obs.MetricsSink
-		logger      *slog.Logger
-		sinks       []obs.Sink
+		traceSink *obs.TraceSink
+		reg       *obs.RegistrySink
+		logger    *slog.Logger
+		sinks     []obs.Sink
 	)
 	if *tracePath != "" {
 		traceSink = &obs.TraceSink{}
 		sinks = append(sinks, traceSink)
 	}
 	if *metrics != "" || *benchJSON != "" {
-		metricsSink = &obs.MetricsSink{}
-		sinks = append(sinks, metricsSink)
+		reg = obs.NewRegistrySink()
+		sinks = append(sinks, reg)
 	}
 	if *logFormat != "" {
 		level, err := telemetry.ParseLevel(*logLevel)
@@ -328,7 +332,7 @@ func run() (code int) {
 				}
 			}
 			if *metrics != "" {
-				if err := writeMetricsSnapshot(ctx, metricsSink, *metrics); err != nil {
+				if err := writeMetricsSnapshot(reg, *metrics); err != nil {
 					fmt.Fprintln(os.Stderr, "atom:", err)
 					if code == 0 {
 						code = 1
@@ -365,8 +369,11 @@ func run() (code int) {
 		os.Exit(status)
 	}()
 
+	if tableName != "" {
+		return runTable(ctx, reg, tableName, *progs, *benchJSON, *verbose)
+	}
 	if *analyze {
-		return runAnalyze(ctx, metricsSink, analyzeConfig{
+		return runAnalyze(ctx, reg, analyzeConfig{
 			inputs:    flag.Args(),
 			irIn:      *irIn,
 			tool:      tool,
@@ -383,7 +390,7 @@ func run() (code int) {
 		return emitIRBlobs(ctx, *emitIR, flag.Args())
 	}
 	if *irIn != "" {
-		return instrumentFromIR(ctx, metricsSink, *irIn, tool, opts,
+		return instrumentFromIR(ctx, reg, *irIn, tool, opts,
 			*outPath, *stats, *layout, *benchJSON)
 	}
 
@@ -392,7 +399,7 @@ func run() (code int) {
 		if err != nil {
 			return fail(err)
 		}
-		return runUnderVM(ctx, metricsSink, runConfig{
+		return runUnderVM(ctx, reg, runConfig{
 			input:         flag.Arg(0),
 			progArgs:      flag.Args()[1:],
 			tool:          tool,
@@ -516,7 +523,7 @@ func run() (code int) {
 	}
 
 	if *benchJSON != "" {
-		doc := newRunDoc(ctx, metricsSink, tool.Name, inputs)
+		doc := newRunDoc(reg, tool.Name, inputs)
 		for i := range inputs {
 			if errs[i] != nil {
 				doc.Failed = append(doc.Failed, inputs[i])
@@ -553,7 +560,7 @@ type runConfig struct {
 // requested. The profile (and the bench JSON document) is written even
 // when the program faults mid-run, so a crashing workload still yields
 // its observability artifacts.
-func runUnderVM(ctx *obs.Ctx, metricsSink *obs.MetricsSink, rc runConfig) int {
+func runUnderVM(ctx *obs.Ctx, reg *obs.RegistrySink, rc runConfig) int {
 	app, err := aout.ReadFile(rc.input)
 	if err != nil {
 		return fail(err)
@@ -635,7 +642,7 @@ func runUnderVM(ctx *obs.Ctx, metricsSink *obs.MetricsSink, rc runConfig) int {
 		}
 	}
 	if rc.benchJSON != "" {
-		doc := newRunDoc(ctx, metricsSink, rc.tool.Name, []string{rc.input})
+		doc := newRunDoc(reg, rc.tool.Name, []string{rc.input})
 		if runErr != nil {
 			doc.Failed = []string{rc.input}
 		}
@@ -717,7 +724,7 @@ func irName(input string) string {
 // image, apply — is exactly the in-memory one, so the output executable
 // is bit-identical to instrumenting the original input. The output name
 // derives from the blob (prog.ir -> prog.atom) unless -o is given.
-func instrumentFromIR(ctx *obs.Ctx, metricsSink *obs.MetricsSink, irPath string, tool core.Tool, opts core.Options, outPath string, stats, layout bool, benchJSON string) int {
+func instrumentFromIR(ctx *obs.Ctx, reg *obs.RegistrySink, irPath string, tool core.Tool, opts core.Options, outPath string, stats, layout bool, benchJSON string) int {
 	blob, err := os.ReadFile(irPath)
 	if err != nil {
 		return fail(err)
@@ -750,7 +757,7 @@ func instrumentFromIR(ctx *obs.Ctx, metricsSink *obs.MetricsSink, irPath string,
 		printCacheStats()
 	}
 	if benchJSON != "" {
-		doc := newRunDoc(ctx, metricsSink, tool.Name, []string{irPath})
+		doc := newRunDoc(reg, tool.Name, []string{irPath})
 		if err := figures.WriteRunJSON(benchJSON, doc); err != nil {
 			return fail(err)
 		}
@@ -789,15 +796,15 @@ func writeTrace(t *obs.TraceSink, path string) error {
 // writeMetricsSnapshot writes the end-of-run metrics snapshot, honoring
 // the "-" path as stderr (keeping the snapshot out of the program's
 // stdout, which run mode owns).
-func writeMetricsSnapshot(ctx *obs.Ctx, m *obs.MetricsSink, path string) error {
+func writeMetricsSnapshot(reg *obs.RegistrySink, path string) error {
 	if path == "-" {
-		return obs.WriteMetrics(os.Stderr, m, ctx.Counters(), ctx.Histograms())
+		return obs.WriteMetrics(os.Stderr, reg)
 	}
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	err = obs.WriteMetrics(f, m, ctx.Counters(), ctx.Histograms())
+	err = obs.WriteMetrics(f, reg)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
@@ -825,18 +832,19 @@ func scrape(url string) int {
 // newRunDoc assembles the common part of a bench JSON run document
 // (schema atom-run/v7): per-phase totals including the lift, the three
 // cache stat blocks, the disk-store block when a persistent store is
-// configured, counters, the inline block, and histograms.
-func newRunDoc(ctx *obs.Ctx, metricsSink *obs.MetricsSink, toolName string, programs []string) figures.RunDoc {
+// configured, counters, the inline block, and histograms — all read from
+// the invocation's registry.
+func newRunDoc(reg *obs.RegistrySink, toolName string, programs []string) figures.RunDoc {
 	doc := figures.RunDoc{
 		Tool:     toolName,
 		Programs: programs,
 		Phases: figures.BenchPhases{
-			LiftMS:    msOf(metricsSink.Total("om.lift")),
-			BuildMS:   msOf(metricsSink.Total("atom.image.build")),
-			PlanMS:    msOf(metricsSink.Total("atom.plan")),
-			ApplyMS:   msOf(metricsSink.Total("atom.apply")),
-			WriteMS:   msOf(metricsSink.Total("atom.write")),
-			AnalyzeMS: msOf(metricsSink.Total("om.analyze")),
+			LiftMS:    msOf(reg.SpanTotal("om.lift")),
+			BuildMS:   msOf(reg.SpanTotal("atom.image.build")),
+			PlanMS:    msOf(reg.SpanTotal("atom.plan")),
+			ApplyMS:   msOf(reg.SpanTotal("atom.apply")),
+			WriteMS:   msOf(reg.SpanTotal("atom.write")),
+			AnalyzeMS: msOf(reg.SpanTotal("om.analyze")),
 		},
 		Image:   figures.CacheStats(core.ImageCacheStats()),
 		Objects: figures.CacheStats(rtl.ObjectCacheStats()),
@@ -846,21 +854,22 @@ func newRunDoc(ctx *obs.Ctx, metricsSink *obs.MetricsSink, toolName string, prog
 		blk := figures.StoreStats(s.Stats())
 		doc.Disk = &blk
 	}
-	for _, c := range ctx.Counters() {
+	counters := reg.Counters()
+	for _, c := range counters {
 		doc.Counters = append(doc.Counters, figures.BenchCounter{Name: c.Name, Value: c.Value})
 	}
-	doc.Inline = inlineBlock(ctx)
-	doc.Hists = figures.Histograms(ctx.Histograms())
+	doc.Inline = inlineBlock(counters)
+	doc.Hists = figures.Histograms(reg.Histograms())
 	return doc
 }
 
 // inlineBlock extracts the inliner's site counters for the bench JSON
 // document (schema atom-run/v3). Nil when no instrumentation ran, so
 // plain -run documents stay free of a meaningless zero block.
-func inlineBlock(ctx *obs.Ctx) *figures.BenchInline {
+func inlineBlock(counters []obs.Counter) *figures.BenchInline {
 	var blk figures.BenchInline
 	found := false
-	for _, c := range ctx.Counters() {
+	for _, c := range counters {
 		switch c.Name {
 		case "atom.sites_inlined":
 			blk.SitesInlined, found = c.Value, true
@@ -939,7 +948,9 @@ func printLayout(app *aout.File, res *core.Result) {
 	}
 }
 
-func runTable(which, progList, benchJSON string, verbose bool) int {
+// runTable regenerates one paper table under the invocation's stage
+// context; the bench JSON histograms come from its registry.
+func runTable(ctx *obs.Ctx, reg *obs.RegistrySink, which, progList, benchJSON string, verbose bool) int {
 	var progress *os.File
 	if verbose {
 		progress = os.Stderr
@@ -950,13 +961,13 @@ func runTable(which, progList, benchJSON string, verbose bool) int {
 	}
 	switch which {
 	case "fig5":
-		rows, hists, err := figures.Fig5(names, progress)
+		rows, err := figures.Fig5(ctx, reg, names, progress)
 		if err != nil {
 			return fail(err)
 		}
 		figures.PrintFig5(os.Stdout, rows)
 		if benchJSON != "" {
-			if err := figures.WriteBenchJSON(benchJSON, rows, nil, 0, hists); err != nil {
+			if err := figures.WriteBenchJSON(benchJSON, rows, nil, 0, reg.Histograms()); err != nil {
 				return fail(err)
 			}
 		}
@@ -966,7 +977,7 @@ func runTable(which, progList, benchJSON string, verbose bool) int {
 		// the interpreter's aggregate retirement rate (vm_minst_s).
 		icount0 := vm.Totals().Icount
 		start := time.Now()
-		rows, hists, err := figures.Fig6(names, progress)
+		rows, err := figures.Fig6(ctx, names, progress)
 		wall := time.Since(start)
 		if err != nil {
 			return fail(err)
@@ -977,7 +988,7 @@ func runTable(which, progList, benchJSON string, verbose bool) int {
 			if secs := wall.Seconds(); secs > 0 {
 				minstS = float64(vm.Totals().Icount-icount0) / 1e6 / secs
 			}
-			if err := figures.WriteBenchJSON(benchJSON, nil, rows, minstS, hists); err != nil {
+			if err := figures.WriteBenchJSON(benchJSON, nil, rows, minstS, reg.Histograms()); err != nil {
 				return fail(err)
 			}
 		}

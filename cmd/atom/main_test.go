@@ -2,12 +2,20 @@ package main
 
 import (
 	"bytes"
+	"flag"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
+	"atom/internal/aout"
+	"atom/internal/core"
 	"atom/internal/obs"
+	"atom/internal/spec"
+	"atom/internal/telemetry"
+	"atom/internal/tools"
 )
 
 // captureFD swaps one of the process's standard streams for a pipe
@@ -70,8 +78,8 @@ func TestWriteTraceDash(t *testing.T) {
 // TestWriteMetricsDash: -metrics - prints the snapshot to stderr and
 // creates no "-" file; a real path writes a file.
 func TestWriteMetricsDash(t *testing.T) {
-	sink := &obs.MetricsSink{}
-	ctx := obs.New(sink)
+	reg := obs.NewRegistrySink()
+	ctx := obs.New(reg)
 	ctx.Count("store.image.hit", 4)
 
 	dir := t.TempDir()
@@ -82,7 +90,7 @@ func TestWriteMetricsDash(t *testing.T) {
 	defer os.Chdir(cwd)
 
 	out := captureFD(t, &os.Stderr, func() {
-		if err := writeMetricsSnapshot(ctx, sink, "-"); err != nil {
+		if err := writeMetricsSnapshot(reg, "-"); err != nil {
 			t.Errorf("writeMetricsSnapshot(-): %v", err)
 		}
 	})
@@ -94,11 +102,126 @@ func TestWriteMetricsDash(t *testing.T) {
 	}
 
 	path := filepath.Join(dir, "m.txt")
-	if err := writeMetricsSnapshot(ctx, sink, path); err != nil {
+	if err := writeMetricsSnapshot(reg, path); err != nil {
 		t.Fatal(err)
 	}
 	if data, err := os.ReadFile(path); err != nil || !strings.Contains(string(data), "store.image.hit") {
 		t.Fatalf("file metrics = %q, %v", data, err)
+	}
+}
+
+// runCLI runs the atom command in-process with the given arguments,
+// discarding its stdout, and returns the exit status.
+func runCLI(t *testing.T, args ...string) int {
+	t.Helper()
+	origFlags, origArgs := flag.CommandLine, os.Args
+	defer func() { flag.CommandLine, os.Args = origFlags, origArgs }()
+	flag.CommandLine = flag.NewFlagSet("atom", flag.ContinueOnError)
+	os.Args = append([]string{"atom"}, args...)
+	var code int
+	captureFD(t, &os.Stdout, func() { code = run() })
+	return code
+}
+
+// TestTableObservability: -table runs under the same observability
+// setup as instrument mode, so -metrics, -trace and -cpuprofile all
+// produce their files.
+func TestTableObservability(t *testing.T) {
+	dir := t.TempDir()
+	metrics := filepath.Join(dir, "m.txt")
+	trace := filepath.Join(dir, "t.json")
+	cpu := filepath.Join(dir, "c.prof")
+	if code := runCLI(t, "-table", "fig5", "-progs", "queens",
+		"-metrics", metrics, "-trace", trace, "-cpuprofile", cpu); code != 0 {
+		t.Fatalf("atom -table fig5 exited %d", code)
+	}
+	data, err := os.ReadFile(metrics)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`(?m)^atom\.apply +[1-9][0-9]* `).Match(data) {
+		t.Errorf("metrics snapshot has no atom.apply span row:\n%s", data)
+	}
+	if err := checkTrace(trace); err != nil {
+		t.Error(err)
+	}
+	if st, err := os.Stat(cpu); err != nil || st.Size() == 0 {
+		t.Errorf("cpu profile not written: %v", err)
+	}
+}
+
+// TestMetricsAgree instruments one batch with a per-invocation registry
+// and a process-style telemetry registry both attached, then reads the
+// counters three ways: the -metrics text, the bench JSON document, and
+// the Prometheus _total series. All three must agree exactly.
+func TestMetricsAgree(t *testing.T) {
+	reg := obs.NewRegistrySink()
+	proc := telemetry.NewRegistry()
+	ctx := obs.New(reg, proc.Sink())
+	names := []string{"queens", "eqntott"}
+	apps := make([]*aout.File, len(names))
+	for i, n := range names {
+		app, err := spec.Build(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		apps[i] = app
+	}
+	tool, _ := tools.ByName("branch")
+	if _, errs := core.InstrumentManyNamed(ctx, apps, names, tool, core.Options{}, 2, nil); errs[0] != nil || errs[1] != nil {
+		t.Fatal(errs)
+	}
+
+	var text bytes.Buffer
+	if err := obs.WriteMetrics(&text, reg); err != nil {
+		t.Fatal(err)
+	}
+	fromText := map[string]int64{}
+	section := ""
+	for _, line := range strings.Split(text.String(), "\n") {
+		if strings.HasPrefix(line, "# ") {
+			section = line
+			continue
+		}
+		if f := strings.Fields(line); strings.HasPrefix(section, "# counters") && len(f) == 2 {
+			v, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromText[f[0]] = v
+		}
+	}
+
+	var prom bytes.Buffer
+	if err := proc.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	fromProm := map[string]int64{}
+	for _, line := range strings.Split(prom.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && strings.HasSuffix(f[0], "_total") {
+			v, err := strconv.ParseInt(f[1], 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fromProm[f[0]] = v
+		}
+	}
+
+	doc := newRunDoc(reg, tool.Name, names)
+	if len(doc.Counters) == 0 || fromText["atom.sites"] == 0 {
+		t.Fatalf("no instrumentation counters recorded: %+v", doc.Counters)
+	}
+	if len(fromText) != len(doc.Counters) || len(fromProm) != len(doc.Counters) {
+		t.Errorf("counter sets differ: %d in -metrics, %d in bench JSON, %d in /metrics",
+			len(fromText), len(doc.Counters), len(fromProm))
+	}
+	for _, c := range doc.Counters {
+		if got := fromText[c.Name]; got != c.Value {
+			t.Errorf("%s: -metrics says %d, bench JSON %d", c.Name, got, c.Value)
+		}
+		if got := fromProm[telemetry.MetricName(c.Name)+"_total"]; got != c.Value {
+			t.Errorf("%s: /metrics says %d, bench JSON %d", c.Name, got, c.Value)
+		}
 	}
 }
 

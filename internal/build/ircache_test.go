@@ -77,7 +77,8 @@ func TestIRCacheCounters(t *testing.T) {
 	ResetIRCache(ScopeMemory)
 	defer ResetIRCache(ScopeMemory)
 
-	ctx := obs.New()
+	reg := obs.NewRegistrySink()
+	ctx := obs.New(reg)
 	key := NewKey("ir-counter-test").Sum()
 	lift := func(*obs.Ctx) ([]byte, error) { return []byte("x"), nil }
 	for i := 0; i < 3; i++ {
@@ -86,7 +87,7 @@ func TestIRCacheCounters(t *testing.T) {
 		}
 	}
 	got := map[string]int64{}
-	for _, c := range ctx.Counters() {
+	for _, c := range reg.Counters() {
 		got[c.Name] = c.Value
 	}
 	if got["store.ir.miss"] != 1 || got["store.ir.hit"] != 2 {

@@ -175,7 +175,8 @@ func TestDiskStoreCorruptBlobQuarantined(t *testing.T) {
 	}
 	corruptOneBlob(t, dir)
 
-	ctx := obs.New()
+	reg := obs.NewRegistrySink()
+	ctx := obs.New(reg)
 	if _, ok, err := ds.Get(ctx, k); ok || err != nil {
 		t.Fatalf("Get of corrupt blob = %v, %v; want miss, nil", ok, err)
 	}
@@ -184,13 +185,13 @@ func TestDiskStoreCorruptBlobQuarantined(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 corrupt, 0 blobs", st)
 	}
 	var sawCounter bool
-	for _, c := range ctx.Counters() {
+	for _, c := range reg.Counters() {
 		if c.Name == "store.disk.corrupt" && c.Value == 1 {
 			sawCounter = true
 		}
 	}
 	if !sawCounter {
-		t.Fatalf("store.disk.corrupt not counted: %v", ctx.Counters())
+		t.Fatalf("store.disk.corrupt not counted: %v", reg.Counters())
 	}
 	// The bad file moved to quarantine/, so a re-put sticks and reads back.
 	ents, err := os.ReadDir(filepath.Join(dir, "quarantine"))
@@ -519,7 +520,8 @@ func TestDiskStoreAdoption(t *testing.T) {
 	}
 
 	trace := &obs.TraceSink{}
-	ctx := obs.New(trace)
+	reg := obs.NewRegistrySink()
+	ctx := obs.New(trace, reg)
 	got, ok, err := b.Get(ctx, k)
 	if err != nil || !ok || !bytes.Equal(got, []byte("shared blob")) {
 		t.Fatalf("Get = %q, %v, %v; want the blob a put", got, ok, err)
@@ -528,7 +530,7 @@ func TestDiskStoreAdoption(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 adopted, 1 hit", st)
 	}
 	counts := map[string]int64{}
-	for _, c := range ctx.Counters() {
+	for _, c := range reg.Counters() {
 		counts[c.Name] = c.Value
 	}
 	if counts["store.disk.adopt"] != 1 || counts["store.disk.hit"] != 1 {

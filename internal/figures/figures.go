@@ -116,10 +116,11 @@ type Fig5Row struct {
 // For each tool the artifact caches are dropped first, so ToolBuild is a
 // true cold build; the per-program loop then runs against the warm cache,
 // which is how the system behaves when one tool is applied to a suite.
-// It also returns the pipeline histograms (per-site live/saved register
-// distributions among them) aggregated across every tool, for the bench
-// JSON document.
-func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
+// The measurement runs under ctx, so its spans, counters and histograms
+// reach the caller's sinks. reg, when non-nil, must be attached to ctx:
+// each row's per-phase times are the deltas of its span totals over
+// that tool's measurement (zero without a registry).
+func Fig5(ctx *obs.Ctx, reg *obs.RegistrySink, names []string, progress io.Writer) ([]Fig5Row, error) {
 	if len(names) == 0 {
 		for _, p := range spec.Suite() {
 			names = append(names, p.Name)
@@ -128,27 +129,21 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 	// Warm the application-build cache outside the timers.
 	for _, pn := range names {
 		if _, err := spec.Build(pn); err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 	}
 	var rows []Fig5Row
-	var hists []obs.Hist
 	for _, tname := range tools.Names() {
 		tool, _ := tools.ByName(tname)
-
-		// A private metrics sink per tool turns the pipeline's spans into
-		// the per-phase breakdown (plan/apply/image-build) the JSON output
-		// reports alongside the wall-clock columns.
-		metrics := &obs.MetricsSink{}
-		mctx := obs.New(metrics)
+		phases0 := phaseTotals(reg)
 
 		core.ResetImageCache(build.ScopeMemory)
 		rtl.ResetObjectCache(build.ScopeMemory)
 		build.ResetIRCache(build.ScopeMemory)
 		start := time.Now()
-		ti, err := core.BuildToolImageCtx(mctx, tool, core.Options{})
+		ti, err := core.BuildToolImageCtx(ctx, tool, core.Options{})
 		if err != nil {
-			return nil, nil, fmt.Errorf("fig5: building %s: %w", tname, err)
+			return nil, fmt.Errorf("fig5: building %s: %w", tname, err)
 		}
 		toolBuild := time.Since(start)
 
@@ -158,35 +153,35 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 		// as a suite pass does in practice.
 		start = time.Now()
 		for _, pn := range names {
-			exe, err := spec.BuildCtx(mctx, pn)
+			exe, err := spec.BuildCtx(ctx, pn)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if _, err := core.LiftCtx(mctx, exe); err != nil {
-				return nil, nil, fmt.Errorf("fig5: lifting %s: %w", pn, err)
+			if _, err := core.LiftCtx(ctx, exe); err != nil {
+				return nil, fmt.Errorf("fig5: lifting %s: %w", pn, err)
 			}
 		}
 		liftCold := time.Since(start)
 		start = time.Now()
 		for _, pn := range names {
-			exe, err := spec.BuildCtx(mctx, pn)
+			exe, err := spec.BuildCtx(ctx, pn)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if _, err := core.LiftCtx(mctx, exe); err != nil {
-				return nil, nil, fmt.Errorf("fig5: lifting %s: %w", pn, err)
+			if _, err := core.LiftCtx(ctx, exe); err != nil {
+				return nil, fmt.Errorf("fig5: lifting %s: %w", pn, err)
 			}
 		}
 		liftWarm := time.Since(start)
 
 		start = time.Now()
 		for _, pn := range names {
-			exe, err := spec.BuildCtx(mctx, pn)
+			exe, err := spec.BuildCtx(ctx, pn)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			if _, err := core.ApplyCtx(mctx, exe, ti, core.Options{}); err != nil {
-				return nil, nil, fmt.Errorf("fig5: %s on %s: %w", tname, pn, err)
+			if _, err := core.ApplyCtx(ctx, exe, ti, core.Options{}); err != nil {
+				return nil, fmt.Errorf("fig5: %s on %s: %w", tname, pn, err)
 			}
 		}
 		total := time.Since(start)
@@ -197,11 +192,12 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 		objectStats := rtl.ObjectCacheStats()
 		irStats := build.IRCacheStats()
 
-		liftDisk, diskStats, err := diskLiftSweep(mctx, names)
+		liftDisk, diskStats, err := diskLiftSweep(ctx, names)
 		if err != nil {
-			return nil, nil, fmt.Errorf("fig5: disk-warm lift for %s: %w", tname, err)
+			return nil, fmt.Errorf("fig5: disk-warm lift for %s: %w", tname, err)
 		}
 
+		phases := phaseTotals(reg)
 		rows = append(rows, Fig5Row{
 			Tool:        tname,
 			Description: tool.Description,
@@ -213,15 +209,14 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 			LiftWarm:    liftWarm,
 			LiftDisk:    liftDisk,
 			DiskStore:   diskStats,
-			LiftTime:    metrics.Total("om.lift"),
-			PlanTime:    metrics.Total("atom.plan"),
-			ApplyTime:   metrics.Total("atom.apply"),
-			ImageBuild:  metrics.Total("atom.image.build"),
+			LiftTime:    phases[0] - phases0[0],
+			PlanTime:    phases[1] - phases0[1],
+			ApplyTime:   phases[2] - phases0[2],
+			ImageBuild:  phases[3] - phases0[3],
 			ImageCache:  imageStats,
 			ObjectCache: objectStats,
 			IRCache:     irStats,
 		})
-		hists = obs.MergeHists(hists, mctx.Histograms())
 		if progress != nil {
 			fmt.Fprintf(progress, "fig5: %-8s build %v, lift %v/%v/%v (cold/warm/disk), apply %v\n",
 				tname, toolBuild.Round(time.Millisecond),
@@ -230,7 +225,19 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 				total.Round(time.Millisecond))
 		}
 	}
-	return rows, hists, nil
+	return rows, nil
+}
+
+// phaseTotals reads the span totals behind Fig5Row's per-phase times, in
+// field order: lift, plan, apply, image build. All zero when reg is nil.
+func phaseTotals(reg *obs.RegistrySink) (t [4]time.Duration) {
+	if reg == nil {
+		return t
+	}
+	for i, name := range []string{"om.lift", "atom.plan", "atom.apply", "atom.image.build"} {
+		t[i] = reg.SpanTotal(name)
+	}
+	return t
 }
 
 // diskLiftSweep measures the third lift rung: the in-memory IR cache
@@ -239,13 +246,13 @@ func Fig5(names []string, progress io.Writer) ([]Fig5Row, []obs.Hist, error) {
 // store is installed for the duration: a seeding sweep writes each
 // program's IR blob to disk, the memory layer is dropped again, and the
 // measured sweep then serves every lift by decoding a disk blob.
-func diskLiftSweep(mctx *obs.Ctx, names []string) (time.Duration, build.StoreStats, error) {
+func diskLiftSweep(ctx *obs.Ctx, names []string) (time.Duration, build.StoreStats, error) {
 	dir, err := os.MkdirTemp("", "atom-fig5-store")
 	if err != nil {
 		return 0, build.StoreStats{}, err
 	}
 	defer os.RemoveAll(dir)
-	ds, err := build.OpenDiskStore(mctx, dir, 0)
+	ds, err := build.OpenDiskStore(ctx, dir, 0)
 	if err != nil {
 		return 0, build.StoreStats{}, err
 	}
@@ -257,11 +264,11 @@ func diskLiftSweep(mctx *obs.Ctx, names []string) (time.Duration, build.StoreSta
 
 	sweep := func() error {
 		for _, pn := range names {
-			exe, err := spec.BuildCtx(mctx, pn)
+			exe, err := spec.BuildCtx(ctx, pn)
 			if err != nil {
 				return err
 			}
-			if _, err := core.LiftCtx(mctx, exe); err != nil {
+			if _, err := core.LiftCtx(ctx, exe); err != nil {
 				return fmt.Errorf("lifting %s: %w", pn, err)
 			}
 		}
@@ -361,24 +368,23 @@ func RatioForCtx(ctx *obs.Ctx, toolName, progName string, opts core.Options) (fl
 }
 
 // Fig6 measures every tool over the given programs (all 20 when names is
-// empty) and returns per-tool geometric-mean ratios, plus the pipeline
-// histograms aggregated over the whole sweep.
-func Fig6(names []string, progress io.Writer) ([]Fig6Row, []obs.Hist, error) {
+// empty) and returns per-tool geometric-mean ratios. Every
+// instrumentation in the sweep runs under ctx, so the caller's sinks see
+// its counters and histograms.
+func Fig6(ctx *obs.Ctx, names []string, progress io.Writer) ([]Fig6Row, error) {
 	if len(names) == 0 {
 		for _, p := range spec.Suite() {
 			names = append(names, p.Name)
 		}
 	}
-	// A sinkless context still aggregates counters and histograms.
-	mctx := obs.New()
 	var rows []Fig6Row
 	for _, tname := range tools.Names() {
 		logSum := 0.0
 		minR, maxR := math.Inf(1), 0.0
 		for _, pn := range names {
-			r, err := RatioForCtx(mctx, tname, pn, core.Options{})
+			r, err := RatioForCtx(ctx, tname, pn, core.Options{})
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			logSum += math.Log(r)
 			minR = math.Min(minR, r)
@@ -397,7 +403,7 @@ func Fig6(names []string, progress io.Writer) ([]Fig6Row, []obs.Hist, error) {
 			MaxRatio: maxR,
 		})
 	}
-	return rows, mctx.Histograms(), nil
+	return rows, nil
 }
 
 // PrintFig5 renders Figure 5 next to the paper's numbers. "build" is the

@@ -6,10 +6,12 @@ import (
 
 	"atom/internal/core"
 	"atom/internal/figures"
+	"atom/internal/obs"
 )
 
 func TestFig5Subset(t *testing.T) {
-	rows, hists, err := figures.Fig5([]string{"queens", "eqntott"}, nil)
+	reg := obs.NewRegistrySink()
+	rows, err := figures.Fig5(obs.New(reg), reg, []string{"queens", "eqntott"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -17,7 +19,7 @@ func TestFig5Subset(t *testing.T) {
 		t.Fatalf("rows = %d, want 11", len(rows))
 	}
 	saw := map[string]bool{}
-	for _, h := range hists {
+	for _, h := range reg.Histograms() {
 		saw[h.Name] = h.Count > 0
 	}
 	for _, want := range []string{"atom.site_live_regs", "atom.site_saved_regs"} {
@@ -26,7 +28,7 @@ func TestFig5Subset(t *testing.T) {
 		}
 	}
 	for _, r := range rows {
-		if r.Total <= 0 || r.Avg <= 0 || r.Programs != 2 {
+		if r.Total <= 0 || r.Avg <= 0 || r.Programs != 2 || r.ApplyTime <= 0 || r.ImageBuild <= 0 {
 			t.Errorf("%s: implausible row %+v", r.Tool, r)
 		}
 		if _, ok := figures.PaperFig5[r.Tool]; !ok {
@@ -41,7 +43,7 @@ func TestFig5Subset(t *testing.T) {
 }
 
 func TestFig6Subset(t *testing.T) {
-	rows, _, err := figures.Fig6([]string{"queens"}, nil)
+	rows, err := figures.Fig6(nil, []string{"queens"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import (
 // attached (aggregating every event) and a StreamSink subscriber drains
 // concurrently. Run under -race this is the data-race gate for the
 // whole fan-out path; the assertions check that nothing is lost: the
-// registry's totals match the context's own deterministic snapshot
-// exactly, and within every span the begin event precedes the end.
+// registry's totals match the deterministic number of updates exactly,
+// and within every span the begin event precedes the end.
 func TestConcurrentFanOut(t *testing.T) {
 	reg := NewRegistrySink()
 	stream := NewStreamSink()
@@ -74,12 +74,12 @@ func TestConcurrentFanOut(t *testing.T) {
 	stream.Unsubscribe(sub)
 	drained.Wait()
 
-	// The registry must reconcile exactly with the context's own
-	// counters — this is what makes a mid-run /metrics scrape agree
-	// with the end-of-run -stats numbers.
-	for _, c := range ctx.Counters() {
-		if got := reg.Counter(c.Name); got != c.Value {
-			t.Errorf("registry counter %s = %d, ctx says %d", c.Name, got, c.Value)
+	// Every update must land exactly once — this is what makes a mid-run
+	// /metrics scrape agree with the end-of-run -stats numbers.
+	for w := 0; w < workers; w++ {
+		name := fmt.Sprintf("worker.%d.ops", w)
+		if got := reg.Counter(name); got != 2*rounds {
+			t.Errorf("registry counter %s = %d, want %d", name, got, 2*rounds)
 		}
 	}
 	if got := reg.Counter("shared.ticks"); got != workers*rounds {

@@ -3,52 +3,9 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 )
-
-// MetricsSink aggregates completed spans by name: how many times each
-// stage ran and how long it took in total. Together with the Ctx's
-// counters it renders the plain-text metrics snapshot behind
-// `cmd/atom -metrics` and the per-phase numbers in the bench JSON.
-type MetricsSink struct {
-	mu  sync.Mutex
-	agg map[string]spanAgg
-}
-
-type spanAgg struct {
-	count int64
-	total time.Duration
-}
-
-// SpanEnd folds the span into the per-name aggregate.
-func (m *MetricsSink) SpanEnd(sd SpanData) {
-	m.mu.Lock()
-	if m.agg == nil {
-		m.agg = map[string]spanAgg{}
-	}
-	a := m.agg[sd.Name]
-	a.count++
-	a.total += sd.Dur
-	m.agg[sd.Name] = a
-	m.mu.Unlock()
-}
-
-// Total returns the summed duration of all spans with the given name.
-func (m *MetricsSink) Total(name string) time.Duration {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.agg[name].total
-}
-
-// SpanCount returns how many spans with the given name completed.
-func (m *MetricsSink) SpanCount(name string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.agg[name].count
-}
 
 // SpanStat is one aggregated row of the metrics snapshot.
 type SpanStat struct {
@@ -57,73 +14,30 @@ type SpanStat struct {
 	Total time.Duration
 }
 
-// Stats returns the per-name aggregates sorted by name.
-func (m *MetricsSink) Stats() []SpanStat {
-	m.mu.Lock()
-	out := make([]SpanStat, 0, len(m.agg))
-	for n, a := range m.agg {
-		out = append(out, SpanStat{Name: n, Count: a.count, Total: a.total})
-	}
-	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// WriteTo renders the span aggregates as text, sorted by name. The
-// output is a deterministic function of the aggregated data (map
-// iteration never leaks into it).
-func (m *MetricsSink) WriteTo(w io.Writer) (int64, error) {
+// WriteMetrics renders the registry's plain-text snapshot behind
+// `cmd/atom -metrics`: span aggregates, counters, then histograms (that
+// section only when there are any), each sorted by name. Histogram
+// bucket boundaries are fixed, so identical activity renders
+// byte-identical text.
+func WriteMetrics(w io.Writer, r *RegistrySink) error {
 	var b strings.Builder
 	b.WriteString("# spans: name count total_ms\n")
-	for _, s := range m.Stats() {
+	for _, s := range r.SpanStats() {
 		fmt.Fprintf(&b, "%-32s %8d %12.3f\n", s.Name, s.Count, float64(s.Total.Nanoseconds())/1e6)
 	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
-}
-
-// FormatCounters renders counters as text, one per line. The input is
-// already sorted (Ctx.Counters guarantees it), so identical runs produce
-// byte-identical output — the property the determinism tests pin down.
-func FormatCounters(counters []Counter) string {
-	var b strings.Builder
 	b.WriteString("# counters: name value\n")
-	for _, c := range counters {
+	for _, c := range r.Counters() {
 		fmt.Fprintf(&b, "%-32s %12d\n", c.Name, c.Value)
 	}
-	return b.String()
-}
-
-// FormatHistograms renders histogram snapshots as text: one header line
-// per histogram followed by its non-empty buckets. The input is already
-// sorted (Ctx.Histograms guarantees it) and bucket boundaries are fixed,
-// so identical observations produce byte-identical output.
-func FormatHistograms(hists []Hist) string {
-	var b strings.Builder
-	b.WriteString("# histograms: name count sum min max\n")
-	for _, h := range hists {
-		fmt.Fprintf(&b, "%-32s %12d %12d %12d %12d\n", h.Name, h.Count, h.Sum, h.Min, h.Max)
-		for _, bk := range h.Buckets {
-			fmt.Fprintf(&b, "  %-30s %12d\n", fmt.Sprintf("[%d,%d)", bk.Lo, bk.Hi), bk.Count)
+	if hists := r.Histograms(); len(hists) > 0 {
+		b.WriteString("# histograms: name count sum min max\n")
+		for _, h := range hists {
+			fmt.Fprintf(&b, "%-32s %12d %12d %12d %12d\n", h.Name, h.Count, h.Sum, h.Min, h.Max)
+			for _, bk := range h.Buckets {
+				fmt.Fprintf(&b, "  %-30s %12d\n", fmt.Sprintf("[%d,%d)", bk.Lo, bk.Hi), bk.Count)
+			}
 		}
 	}
-	return b.String()
-}
-
-// WriteMetrics renders the full snapshot — span aggregates, counters,
-// then histograms — to w. hists may be nil.
-func WriteMetrics(w io.Writer, m *MetricsSink, counters []Counter, hists []Hist) error {
-	if m != nil {
-		if _, err := m.WriteTo(w); err != nil {
-			return err
-		}
-	}
-	if _, err := io.WriteString(w, FormatCounters(counters)); err != nil {
-		return err
-	}
-	if len(hists) == 0 {
-		return nil
-	}
-	_, err := io.WriteString(w, FormatHistograms(hists))
+	_, err := io.WriteString(w, b.String())
 	return err
 }

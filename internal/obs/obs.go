@@ -8,19 +8,21 @@
 // The zero cost of disabled observability is a design requirement: a nil
 // *Ctx is valid and means "off". Every method is a no-op on a nil
 // receiver, so call sites never branch and the instrumented hot paths pay
-// only a nil check. Sinks choose what to keep: TraceSink records every
-// span for a Chrome trace_event export, MetricsSink aggregates per-name
-// totals for a plain-text snapshot, Nop discards everything.
+// only a nil check. A Ctx keeps no aggregates of its own: spans, counter
+// deltas and histogram observations all go to the attached sinks, and
+// the sinks choose what to keep. TraceSink records every span for a
+// Chrome trace_event export; RegistrySink is the one aggregate of
+// counters, histograms and per-name span totals, read by the -metrics
+// snapshot (WriteMetrics), the bench JSON and Prometheus /metrics alike;
+// Nop discards everything.
 //
-// All sinks and counters are safe for concurrent use; the suite fan-out
-// ends spans from many goroutines at once.
+// All sinks are safe for concurrent use; the suite fan-out ends spans
+// from many goroutines at once.
 package obs
 
 import (
 	"math/bits"
-	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -99,10 +101,6 @@ type root struct {
 	beginSinks   []SpanBeginSink
 	counterSinks []CounterSink
 	histSinks    []HistogramSink
-
-	mu       sync.Mutex
-	counters map[string]int64
-	hists    map[string]*histData
 }
 
 // Ctx is the stage context threaded through the pipeline. It names a
@@ -125,12 +123,7 @@ func New(sinks ...Sink) *Ctx {
 // newCtx builds a context over an explicit clock; tests inject a fixed
 // one to get byte-identical output.
 func newCtx(clock func() time.Duration, sinks ...Sink) *Ctx {
-	r := &root{
-		clock:    clock,
-		sinks:    sinks,
-		counters: map[string]int64{},
-		hists:    map[string]*histData{},
-	}
+	r := &root{clock: clock, sinks: sinks}
 	for _, s := range sinks {
 		if b, ok := s.(SpanBeginSink); ok {
 			r.beginSinks = append(r.beginSinks, b)
@@ -223,16 +216,12 @@ func (s *Span) End() {
 	}
 }
 
-// Count adds delta to the named counter. Counters live on the Ctx tree,
-// not on any sink, so every stage reports through the same interface the
-// spans use. Safe on nil and for concurrent use.
+// Count adds delta to the named counter: every attached CounterSink
+// receives the delta. Safe on nil and for concurrent use.
 func (c *Ctx) Count(name string, delta int64) {
 	if c == nil {
 		return
 	}
-	c.r.mu.Lock()
-	c.r.counters[name] += delta
-	c.r.mu.Unlock()
 	for _, s := range c.r.counterSinks {
 		s.CounterAdd(name, delta)
 	}
@@ -242,22 +231,6 @@ func (c *Ctx) Count(name string, delta int64) {
 type Counter struct {
 	Name  string
 	Value int64
-}
-
-// Counters returns a snapshot of every counter, sorted by name (so any
-// rendering of it is deterministic). Nil on a nil context.
-func (c *Ctx) Counters() []Counter {
-	if c == nil {
-		return nil
-	}
-	c.r.mu.Lock()
-	out := make([]Counter, 0, len(c.r.counters))
-	for n, v := range c.r.counters {
-		out = append(out, Counter{Name: n, Value: v})
-	}
-	c.r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }
 
 // numHistBuckets is the fixed bucket count of every histogram: bucket 0
@@ -314,23 +287,15 @@ func (h *histData) snapshot(name string) Hist {
 	return s
 }
 
-// Observe records one value into the named histogram. Histograms have
-// fixed log-scale (power-of-two) buckets, so the aggregate — unlike a
-// quantile sketch — is a deterministic function of the observed values,
-// and identical runs render identical snapshots. Safe on nil and for
-// concurrent use.
+// Observe records one value into the named histogram: every attached
+// HistogramSink receives it. Histograms have fixed log-scale
+// (power-of-two) buckets, so the aggregate — unlike a quantile sketch —
+// is a deterministic function of the observed values, and identical runs
+// render identical snapshots. Safe on nil and for concurrent use.
 func (c *Ctx) Observe(name string, v int64) {
 	if c == nil {
 		return
 	}
-	c.r.mu.Lock()
-	h := c.r.hists[name]
-	if h == nil {
-		h = &histData{}
-		c.r.hists[name] = h
-	}
-	h.observe(v)
-	c.r.mu.Unlock()
 	for _, s := range c.r.histSinks {
 		s.HistogramObserve(name, v)
 	}
@@ -350,74 +315,4 @@ type Hist struct {
 	Sum      int64
 	Min, Max int64 // observed extremes (both zero when Count is 0)
 	Buckets  []HistBucket
-}
-
-// Histograms returns a snapshot of every histogram, sorted by name, with
-// only non-empty buckets listed (in ascending value order). Nil on a nil
-// context.
-func (c *Ctx) Histograms() []Hist {
-	if c == nil {
-		return nil
-	}
-	c.r.mu.Lock()
-	out := make([]Hist, 0, len(c.r.hists))
-	for n, h := range c.r.hists {
-		out = append(out, h.snapshot(n))
-	}
-	c.r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// MergeHists merges histogram snapshots by name: counts, sums, and
-// per-bucket tallies add, observed extremes widen. Because buckets are
-// fixed powers of two, merging per-stage snapshots yields exactly the
-// document one shared context would have produced. Output is sorted the
-// same way Histograms sorts.
-func MergeHists(snaps ...[]Hist) []Hist {
-	byName := map[string]*Hist{}
-	var names []string
-	for _, snap := range snaps {
-		for _, h := range snap {
-			m := byName[h.Name]
-			if m == nil {
-				c := h
-				c.Buckets = append([]HistBucket(nil), h.Buckets...)
-				byName[h.Name] = &c
-				names = append(names, h.Name)
-				continue
-			}
-			if h.Count > 0 {
-				if m.Count == 0 || h.Min < m.Min {
-					m.Min = h.Min
-				}
-				if m.Count == 0 || h.Max > m.Max {
-					m.Max = h.Max
-				}
-			}
-			m.Count += h.Count
-			m.Sum += h.Sum
-			for _, b := range h.Buckets {
-				merged := false
-				for i := range m.Buckets {
-					if m.Buckets[i].Lo == b.Lo {
-						m.Buckets[i].Count += b.Count
-						merged = true
-						break
-					}
-				}
-				if !merged {
-					m.Buckets = append(m.Buckets, b)
-				}
-			}
-		}
-	}
-	sort.Strings(names)
-	out := make([]Hist, 0, len(names))
-	for _, n := range names {
-		h := *byName[n]
-		sort.Slice(h.Buckets, func(i, j int) bool { return h.Buckets[i].Lo < h.Buckets[j].Lo })
-		out = append(out, h)
-	}
-	return out
 }

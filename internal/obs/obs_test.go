@@ -141,11 +141,12 @@ func TestCounters(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c := New()
+			reg := NewRegistrySink()
+			c := New(reg)
 			for _, a := range tc.add {
 				c.Count(a.Name, a.Value)
 			}
-			got := c.Counters()
+			got := reg.Counters()
 			if len(got) != len(tc.want) {
 				t.Fatalf("got %v, want %v", got, tc.want)
 			}
@@ -158,7 +159,8 @@ func TestCounters(t *testing.T) {
 	}
 
 	t.Run("concurrent", func(t *testing.T) {
-		c := New()
+		reg := NewRegistrySink()
+		c := New(reg)
 		var wg sync.WaitGroup
 		for w := 0; w < 8; w++ {
 			wg.Add(1)
@@ -170,7 +172,7 @@ func TestCounters(t *testing.T) {
 			}()
 		}
 		wg.Wait()
-		if got := c.Counters(); len(got) != 1 || got[0].Value != 8000 {
+		if got := reg.Counters(); len(got) != 1 || got[0].Value != 8000 {
 			t.Errorf("got %v, want [{shared 8000}]", got)
 		}
 	})
@@ -190,9 +192,7 @@ func TestNilCtx(t *testing.T) {
 	sp.SetAttr(Int("n", 1))
 	sp.End()
 	c.Count("n", 1)
-	if got := c.Counters(); got != nil {
-		t.Errorf("nil ctx counters = %v, want nil", got)
-	}
+	c.Observe("h", 1)
 }
 
 // BenchmarkDisabled measures the disabled-observability overhead the
@@ -244,10 +244,10 @@ func TestTraceRoundTrip(t *testing.T) {
 // into fresh sinks and requires byte-identical rendered output — the
 // property that makes metric files diffable across runs.
 func TestDeterministicEmission(t *testing.T) {
-	emit := func() (trace, metrics, counters []byte) {
+	emit := func() (trace, metrics []byte) {
 		ts := &TraceSink{}
-		ms := &MetricsSink{}
-		c := newCtx(fixedClock(time.Millisecond), ts, ms)
+		reg := NewRegistrySink()
+		c := newCtx(fixedClock(time.Millisecond), ts, reg)
 		// Span names deliberately out of sorted order.
 		for _, name := range []string{"zeta", "alpha", "mid", "alpha"} {
 			_, sp := c.Start(name, String("k", name))
@@ -263,39 +263,46 @@ func TestDeterministicEmission(t *testing.T) {
 			t.Fatal(err)
 		}
 		var mbuf bytes.Buffer
-		if err := WriteMetrics(&mbuf, ms, c.Counters(), c.Histograms()); err != nil {
+		if err := WriteMetrics(&mbuf, reg); err != nil {
 			t.Fatal(err)
 		}
-		return tr, mbuf.Bytes(), []byte(FormatCounters(c.Counters()))
+		return tr, mbuf.Bytes()
 	}
-	t1, m1, c1 := emit()
-	t2, m2, c2 := emit()
+	t1, m1 := emit()
+	t2, m2 := emit()
 	if !bytes.Equal(t1, t2) {
 		t.Errorf("trace output differs between identical runs:\n%s\n--\n%s", t1, t2)
 	}
 	if !bytes.Equal(m1, m2) {
 		t.Errorf("metrics output differs between identical runs:\n%s\n--\n%s", m1, m2)
 	}
-	if !bytes.Equal(c1, c2) {
-		t.Errorf("counter output differs between identical runs:\n%s\n--\n%s", c1, c2)
-	}
-	// Counters must render in sorted order regardless of insertion order.
-	want := "# counters: name value\n" +
+	// Every section renders in sorted order regardless of insertion
+	// order; each span lasted exactly one fixed-clock tick.
+	want := "# spans: name count total_ms\n" +
+		fmt.Sprintf("%-32s %8d %12.3f\n", "alpha", 2, 2.0) +
+		fmt.Sprintf("%-32s %8d %12.3f\n", "mid", 1, 1.0) +
+		fmt.Sprintf("%-32s %8d %12.3f\n", "zeta", 1, 1.0) +
+		"# counters: name value\n" +
 		fmt.Sprintf("%-32s %12d\n", "a.first", 2) +
-		fmt.Sprintf("%-32s %12d\n", "z.last", 3)
-	if string(c1) != want {
-		t.Errorf("counter rendering:\n%q\nwant:\n%q", c1, want)
+		fmt.Sprintf("%-32s %12d\n", "z.last", 3) +
+		"# histograms: name count sum min max\n" +
+		fmt.Sprintf("%-32s %12d %12d %12d %12d\n", "h.depth", 2, 903, 3, 900) +
+		fmt.Sprintf("  %-30s %12d\n", "[2,4)", 1) +
+		fmt.Sprintf("  %-30s %12d\n", "[512,1024)", 1)
+	if string(m1) != want {
+		t.Errorf("metrics rendering:\n%q\nwant:\n%q", m1, want)
 	}
 }
 
 // TestHistogramBuckets checks the log2 bucketing: each observation lands
 // in the [2^(b-1), 2^b) bucket, non-positive values in [0, 1).
 func TestHistogramBuckets(t *testing.T) {
-	c := New(Nop{})
+	reg := NewRegistrySink()
+	c := New(reg)
 	for _, v := range []int64{-5, 0, 1, 2, 3, 4, 7, 8, 1024, 1025} {
 		c.Observe("lat", v)
 	}
-	hists := c.Histograms()
+	hists := reg.Histograms()
 	if len(hists) != 1 {
 		t.Fatalf("got %d histograms, want 1", len(hists))
 	}
@@ -332,15 +339,13 @@ func TestHistogramBuckets(t *testing.T) {
 func TestHistogramNilAndOrder(t *testing.T) {
 	var nilCtx *Ctx
 	nilCtx.Observe("x", 1) // must not panic
-	if got := nilCtx.Histograms(); got != nil {
-		t.Errorf("nil ctx histograms = %v, want nil", got)
-	}
 
-	c := New(Nop{})
+	reg := NewRegistrySink()
+	c := New(Nop{}, reg)
 	c.Observe("zeta", 1)
 	c.Observe("alpha", 2)
 	c.Observe("mid", 3)
-	hists := c.Histograms()
+	hists := reg.Histograms()
 	var names []string
 	for _, h := range hists {
 		names = append(names, h.Name)
@@ -348,11 +353,11 @@ func TestHistogramNilAndOrder(t *testing.T) {
 	if fmt.Sprint(names) != "[alpha mid zeta]" {
 		t.Errorf("histogram order = %v, want sorted by name", names)
 	}
-	// Child contexts aggregate into the root, like counters do.
+	// Child contexts reach the same sinks, like counters do.
 	child, sp := c.Start("phase")
 	child.Observe("alpha", 10)
 	sp.End()
-	for _, h := range c.Histograms() {
+	for _, h := range reg.Histograms() {
 		if h.Name == "alpha" && h.Count != 2 {
 			t.Errorf("alpha count = %d after child observe, want 2", h.Count)
 		}

@@ -6,23 +6,28 @@ import (
 	"time"
 )
 
-// RegistrySink is the process-wide metric aggregate behind the live
-// telemetry endpoint: counters, log2 histograms, and per-name span
-// aggregates, fed by events rather than polled from a Ctx, so one
-// RegistrySink attached to every live context sees the union of their
-// activity as it happens — including contexts that have since been
-// dropped. It implements Sink, CounterSink, and HistogramSink; attach
-// it with obs.New(..., sink) or read it concurrently from a scrape
-// handler (all methods are safe for concurrent use).
+// RegistrySink is the one metric aggregate: counters, log2 histograms,
+// and per-name span aggregates, fed by events from every context it is
+// attached to (it implements Sink, CounterSink, and HistogramSink), so
+// it sees the union of their activity as it happens — including
+// contexts that have since been dropped. All methods are safe for
+// concurrent use, so a scrape handler may read it mid-run.
 //
-// Unlike a Ctx, a RegistrySink outlives any one pipeline invocation:
-// totals only ever grow, which is exactly the monotonicity a Prometheus
-// counter or native histogram requires.
+// Its scope is where it is attached. A fresh sink per CLI invocation is
+// that invocation's view, behind -metrics (WriteMetrics) and the bench
+// JSON; the process-wide sink in internal/telemetry backs Prometheus
+// /metrics. Totals only ever grow, which is exactly the monotonicity a
+// Prometheus counter or native histogram requires.
 type RegistrySink struct {
 	mu       sync.Mutex
 	counters map[string]int64
 	hists    map[string]*histData
 	spans    map[string]spanAgg
+}
+
+type spanAgg struct {
+	count int64
+	total time.Duration
 }
 
 // NewRegistrySink returns an empty registry sink.

@@ -55,20 +55,11 @@ func (m Mode) String() string {
 	return fmt.Sprintf("Mode(%d)", int(m))
 }
 
-// dispatchMode resolves the configured mode against the unexported
-// ablation knobs (which predate the exported field and are kept for the
-// benchmarks): noPredecode forces the plain loop, noSuperblock caps
-// dispatch at the predecode fast path.
+// dispatchMode resolves the configured mode: the zero value selects
+// superblock dispatch.
 func (c *Config) dispatchMode() Mode {
-	mode := c.Mode
-	if mode == ModeDefault {
-		mode = ModeSuperblock
+	if c.Mode == ModeDefault {
+		return ModeSuperblock
 	}
-	if c.noSuperblock && mode == ModeSuperblock {
-		mode = ModePredecode
-	}
-	if c.noPredecode {
-		mode = ModePlain
-	}
-	return mode
+	return c.Mode
 }

@@ -590,13 +590,6 @@ func TestParseMode(t *testing.T) {
 	if got := ModeDefault.String(); got != "superblock" {
 		t.Errorf("ModeDefault.String() = %q", got)
 	}
-	// The legacy unexported knobs map onto the mode ladder.
-	if m := (&Config{noPredecode: true}).dispatchMode(); m != ModePlain {
-		t.Errorf("noPredecode resolved to %v", m)
-	}
-	if m := (&Config{noSuperblock: true}).dispatchMode(); m != ModePredecode {
-		t.Errorf("noSuperblock resolved to %v", m)
-	}
 	if m := (&Config{}).dispatchMode(); m != ModeSuperblock {
 		t.Errorf("default resolved to %v", m)
 	}

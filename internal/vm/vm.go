@@ -74,14 +74,6 @@ type Config struct {
 	// dispatch regardless of Mode, so observed event sequences are
 	// bit-identical across modes.
 	Mode Mode
-	// noPredecode disables the text predecode cache, re-decoding every
-	// retired instruction as earlier versions did. Ablation knob for
-	// the tests; not exported because there is no reason to run
-	// this way in production (use Mode instead).
-	noPredecode bool
-	// noSuperblock caps dispatch at the predecode fast path, mirroring
-	// noPredecode one layer up.
-	noSuperblock bool
 }
 
 // Probe receives control-flow events from a running machine.

@@ -664,8 +664,8 @@ loop:
 	exe := build(t, src)
 	var icounts [2]uint64
 	var codes [2]int
-	for i, off := range []bool{false, true} {
-		m, err := New(exe, Config{noPredecode: off})
+	for i, mode := range []Mode{ModePlain, ModePredecode} {
+		m, err := New(exe, Config{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}

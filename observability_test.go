@@ -2,6 +2,7 @@ package atom
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"atom/internal/build"
@@ -173,7 +174,8 @@ func TestObservabilityCounters(t *testing.T) {
 	}
 
 	render := func() ([]byte, uint64) {
-		ctx := obs.New()
+		reg := obs.NewRegistrySink()
+		ctx := obs.New(reg)
 		res, err := core.InstrumentCtx(ctx, app, tool, Options{})
 		if err != nil {
 			t.Fatalf("InstrumentCtx: %v", err)
@@ -185,7 +187,7 @@ func TestObservabilityCounters(t *testing.T) {
 		if _, err := m.Run(); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		counters := ctx.Counters()
+		counters := reg.Counters()
 		get := func(name string) int64 {
 			for _, c := range counters {
 				if c.Name == name {
@@ -209,7 +211,7 @@ func TestObservabilityCounters(t *testing.T) {
 		if get("vm.syscalls") <= 0 {
 			t.Errorf("vm.syscalls counter = %d, want > 0", get("vm.syscalls"))
 		}
-		return []byte(obs.FormatCounters(counters)), m.Icount
+		return []byte(fmt.Sprint(counters)), m.Icount
 	}
 
 	out1, ic1 := render()
@@ -234,8 +236,8 @@ func TestFailSoftFlush(t *testing.T) {
 	bad := &Executable{} // not linked: instrumentation must reject it
 
 	ts := &obs.TraceSink{}
-	ms := &obs.MetricsSink{}
-	ctx := obs.New(ts, ms)
+	reg := obs.NewRegistrySink()
+	ctx := obs.New(ts, reg)
 
 	tool, err := ToolByName("branch")
 	if err != nil {
@@ -277,20 +279,20 @@ func TestFailSoftFlush(t *testing.T) {
 	// The metrics snapshot must render, and the apply-time histogram
 	// must have recorded the successful application.
 	var buf bytes.Buffer
-	if err := obs.WriteMetrics(&buf, ms, ctx.Counters(), ctx.Histograms()); err != nil {
+	if err := obs.WriteMetrics(&buf, reg); err != nil {
 		t.Fatalf("metrics flush after failure: %v", err)
 	}
 	if buf.Len() == 0 {
 		t.Fatal("metrics snapshot empty after failure")
 	}
 	found := false
-	for _, h := range ctx.Histograms() {
+	for _, h := range reg.Histograms() {
 		if h.Name == "atom.apply_us" && h.Count >= 1 {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("atom.apply_us histogram missing; histograms: %+v", ctx.Histograms())
+		t.Errorf("atom.apply_us histogram missing; histograms: %+v", reg.Histograms())
 	}
 
 	// And the VM run of the surviving result still behaves.

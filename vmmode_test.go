@@ -138,7 +138,8 @@ func TestVMModeDenseToolsKeepBlocks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctx := obs.New()
+			reg := obs.NewRegistrySink()
+			ctx := obs.New(reg)
 			m, err := vm.New(res.Exe, vm.Config{
 				Stdin:              p.Stdin,
 				FS:                 p.FS,
@@ -153,7 +154,7 @@ func TestVMModeDenseToolsKeepBlocks(t *testing.T) {
 				t.Fatal(err)
 			}
 			c := map[string]int64{}
-			for _, kv := range ctx.Counters() {
+			for _, kv := range reg.Counters() {
 				c[kv.Name] = kv.Value
 			}
 			if c["vm.text_stores"] == 0 || c["vm.sb.invalidations"] != 0 || c["vm.sb.hits"] == 0 {
