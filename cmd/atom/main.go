@@ -65,6 +65,7 @@
 //	atom -table fig5                # Figure 5 (instrumentation time)
 //	atom -table fig6                # Figure 6 (execution-time ratios)
 //	atom -table fig5 -bench-json f  # same, plus machine-readable JSON
+//	atom -table fig6 -t gprof -noinline  # an ablation: one tool, pipeline flags
 package main
 
 import (
@@ -100,7 +101,7 @@ func main() { os.Exit(run()) }
 
 func run() (code int) {
 	var (
-		toolName      = flag.String("t", "", "analysis tool to apply (see -list)")
+		toolName      = flag.String("t", "", "analysis tool to apply (see -list); with -table, the one tool to measure")
 		outPath       = flag.String("o", "", "output executable (single input only; default: input with .atom extension, or a.atom)")
 		toolArgs      = flag.String("args", "", "comma-separated tool arguments (iargv)")
 		mode          = flag.String("mode", "wrapper", "register-save mode: wrapper | inanalysis")
@@ -172,16 +173,48 @@ func run() (code int) {
 		return 0
 	}
 	// -table regenerates a paper table (a bare -bench-json defaults to
-	// fig5). It runs below, under the same observability setup as the
-	// other modes; the input and mode checks here do not apply to it.
+	// fig5). It runs below, under the same observability setup and
+	// pipeline options as the other modes; it takes no inputs.
 	tableName := *table
 	if tableName == "" && *benchJSON != "" && *toolName == "" && !*runMode && !*analyze && *profilePath == "" {
 		tableName = "fig5"
 	}
 	doRun := *runMode || *profilePath != ""
 
+	// A flag that cannot act in the selected mode is a usage error.
+	misuse := map[string]string{} // flag name -> why it cannot act
+	reject := func(when bool, why string, flags ...string) {
+		if when {
+			for _, f := range flags {
+				misuse[f] = why
+			}
+		}
+	}
+	reject(!*analyze, "requires -analyze", "analyze-json", "passes", "analyze-as")
+	reject(doRun, "cannot be combined with -run", "layout")
+	reject(!doRun, "requires -run", "vm-mode") // table ratios do not depend on it
+	reject(*profilePath == "", "requires -profile", "profile-period", "profile-format")
+	reject(tableName == "", "requires -table", "progs")
+	reject(tableName != "", "cannot be combined with -table", "o", "run", "profile", "emit-ir", "ir-in", "analyze", "j", "layout", "progress")
+	// The atom-bench/v7 document records no pipeline options.
+	reject(tableName != "" && *benchJSON != "", "cannot be combined with -table -bench-json",
+		"mode", "heap", "nosummary", "noliveness", "noinline", "inline-limit", "vet", "args")
+	var bad string
+	flag.Visit(func(f *flag.Flag) {
+		if why, ok := misuse[f.Name]; ok && bad == "" {
+			bad = "-" + f.Name + " " + why
+		}
+	})
+	if bad == "" && tableName != "" && flag.NArg() > 0 {
+		bad = "-table takes no input programs"
+	}
+	if bad != "" {
+		fmt.Fprintln(os.Stderr, "atom:", bad)
+		return 2
+	}
+
 	switch {
-	case tableName != "": // takes no inputs; nothing to check
+	case tableName != "": // checked above
 	case *emitIR != "" && (*irIn != "" || doRun || *toolName != ""):
 		return fail(fmt.Errorf("-emit-ir only lifts; it cannot be combined with -t, -ir-in or -run"))
 	case *irIn != "" && doRun:
@@ -201,7 +234,7 @@ func run() (code int) {
 		fmt.Fprintln(os.Stderr, "       atom [-t tool] -run [-profile file [-profile-period N] [-profile-format flat|folded]] prog.x [args...]")
 		fmt.Fprintln(os.Stderr, "       atom -emit-ir dir prog.x [prog2.x ...] | atom -t tool -ir-in prog.ir [-o prog.atom]")
 		fmt.Fprintln(os.Stderr, "       atom -analyze [-passes p1,p2] [-analyze-json file] [-t tool] [prog.x ...]")
-		fmt.Fprintln(os.Stderr, "       atom -list | -table fig5|fig6 [-bench-json file] | -verify-trace file")
+		fmt.Fprintln(os.Stderr, "       atom -list | -table fig5|fig6 [-t tool] [-progs p1,p2] [-bench-json file] | -verify-trace file")
 		return 2
 	}
 	if flag.NArg() > 1 && *outPath != "" && !doRun {
@@ -238,6 +271,10 @@ func run() (code int) {
 	case "flat", "folded":
 	default:
 		return fail(fmt.Errorf("bad -profile-format %q (flat or folded)", *profileFormat))
+	}
+	vmm, err := vm.ParseMode(*vmMode)
+	if err != nil {
+		return fail(err)
 	}
 
 	if *cpuProfile != "" {
@@ -370,7 +407,7 @@ func run() (code int) {
 	}()
 
 	if tableName != "" {
-		return runTable(ctx, reg, tableName, *progs, *benchJSON, *verbose)
+		return runTable(ctx, reg, tableName, *progs, *toolName, opts, *benchJSON, *stats, *verbose)
 	}
 	if *analyze {
 		return runAnalyze(ctx, reg, analyzeConfig{
@@ -395,10 +432,6 @@ func run() (code int) {
 	}
 
 	if doRun {
-		vmm, err := vm.ParseMode(*vmMode)
-		if err != nil {
-			return fail(err)
-		}
 		return runUnderVM(ctx, reg, runConfig{
 			input:         flag.Arg(0),
 			progArgs:      flag.Args()[1:],
@@ -950,18 +983,21 @@ func printLayout(app *aout.File, res *core.Result) {
 
 // runTable regenerates one paper table under the invocation's stage
 // context; the bench JSON histograms come from its registry.
-func runTable(ctx *obs.Ctx, reg *obs.RegistrySink, which, progList, benchJSON string, verbose bool) int {
+func runTable(ctx *obs.Ctx, reg *obs.RegistrySink, which, progList, tool string, opts core.Options, benchJSON string, stats, verbose bool) int {
 	var progress *os.File
 	if verbose {
 		progress = os.Stderr
 	}
-	var names []string
+	var names, toolNames []string
 	if progList != "" {
 		names = strings.Split(progList, ",")
 	}
+	if tool != "" {
+		toolNames = []string{tool}
+	}
 	switch which {
 	case "fig5":
-		rows, err := figures.Fig5(ctx, reg, names, progress)
+		rows, err := figures.Fig5(ctx, reg, names, toolNames, opts, progress)
 		if err != nil {
 			return fail(err)
 		}
@@ -977,7 +1013,7 @@ func runTable(ctx *obs.Ctx, reg *obs.RegistrySink, which, progList, benchJSON st
 		// the interpreter's aggregate retirement rate (vm_minst_s).
 		icount0 := vm.Totals().Icount
 		start := time.Now()
-		rows, err := figures.Fig6(ctx, names, progress)
+		rows, err := figures.Fig6(ctx, names, toolNames, opts, progress)
 		wall := time.Since(start)
 		if err != nil {
 			return fail(err)
@@ -994,6 +1030,9 @@ func runTable(ctx *obs.Ctx, reg *obs.RegistrySink, which, progList, benchJSON st
 		}
 	default:
 		return fail(fmt.Errorf("unknown table %q (fig5 or fig6)", which))
+	}
+	if stats {
+		printCacheStats()
 	}
 	return 0
 }

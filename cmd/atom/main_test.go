@@ -110,17 +110,17 @@ func TestWriteMetricsDash(t *testing.T) {
 	}
 }
 
-// runCLI runs the atom command in-process with the given arguments,
-// discarding its stdout, and returns the exit status.
-func runCLI(t *testing.T, args ...string) int {
+// runCLI runs the atom command in-process with the given arguments and
+// returns the exit status and what it wrote to stdout.
+func runCLI(t *testing.T, args ...string) (int, string) {
 	t.Helper()
 	origFlags, origArgs := flag.CommandLine, os.Args
 	defer func() { flag.CommandLine, os.Args = origFlags, origArgs }()
 	flag.CommandLine = flag.NewFlagSet("atom", flag.ContinueOnError)
 	os.Args = append([]string{"atom"}, args...)
 	var code int
-	captureFD(t, &os.Stdout, func() { code = run() })
-	return code
+	out := captureFD(t, &os.Stdout, func() { code = run() })
+	return code, out
 }
 
 // TestTableObservability: -table runs under the same observability
@@ -131,7 +131,7 @@ func TestTableObservability(t *testing.T) {
 	metrics := filepath.Join(dir, "m.txt")
 	trace := filepath.Join(dir, "t.json")
 	cpu := filepath.Join(dir, "c.prof")
-	if code := runCLI(t, "-table", "fig5", "-progs", "queens",
+	if code, _ := runCLI(t, "-table", "fig5", "-progs", "queens",
 		"-metrics", metrics, "-trace", trace, "-cpuprofile", cpu); code != 0 {
 		t.Fatalf("atom -table fig5 exited %d", code)
 	}
@@ -147,6 +147,80 @@ func TestTableObservability(t *testing.T) {
 	}
 	if st, err := os.Stat(cpu); err != nil || st.Size() == 0 {
 		t.Errorf("cpu profile not written: %v", err)
+	}
+}
+
+// TestTableFlags: -table measures under the pipeline flags, and -t
+// limits it to one tool, so an ablation is a one-row table.
+func TestTableFlags(t *testing.T) {
+	for _, c := range []struct {
+		flags []string
+		ratio string
+	}{
+		{nil, "3.28x"},
+		{[]string{"-noinline"}, "4.95x"},
+	} {
+		args := append([]string{"-table", "fig6", "-progs", "queens", "-t", "gprof"}, c.flags...)
+		code, out := runCLI(t, args...)
+		lines := strings.Split(strings.TrimSpace(out), "\n")
+		// Two header lines, then the row: tool, points, args, ratio, min, max, paper.
+		if code != 0 || len(lines) != 3 || !strings.HasPrefix(lines[2], "gprof ") ||
+			strings.Fields(lines[2])[len(strings.Fields(lines[2]))-4] != c.ratio {
+			t.Errorf("atom %v exited %d, printed\n%s\nwant one gprof row at %s", args, code, out, c.ratio)
+		}
+	}
+	if code, out := runCLI(t, "-table", "fig6", "-progs", "queens", "-t", "io", "-stats"); code != 0 || !strings.Contains(out, "image cache:") {
+		t.Errorf("-table -stats exited %d without cache statistics:\n%s", code, out)
+	}
+}
+
+// TestUnusableFlagsRejected: a flag that cannot take effect in the
+// selected mode exits 2 instead of being ignored.
+func TestUnusableFlagsRejected(t *testing.T) {
+	dir := t.TempDir()
+	app, err := spec.Build("queens")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := filepath.Join(dir, "q.x")
+	if err := app.WriteFile(x); err != nil {
+		t.Fatal(err)
+	}
+	o := filepath.Join(dir, "q.atom")
+	table := func(flags ...string) []string {
+		return append([]string{"-table", "fig6", "-progs", "queens", "-t", "io"}, flags...)
+	}
+	for _, args := range [][]string{
+		{"-t", "branch", "-analyze-json", filepath.Join(dir, "a.json"), "-o", o, x},
+		{"-t", "branch", "-passes", "uninit", "-o", o, x},
+		{"-t", "branch", "-analyze-as", "tool", "-o", o, x},
+		{"-t", "branch", "-vm-mode", "bogus", "-o", o, x},
+		{"-t", "branch", "-vm-mode", "plain", "-o", o, x},
+		{"-run", "-layout", x},
+		{"-t", "branch", "-profile-period", "500", "-run", x},
+		{"-t", "branch", "-profile-format", "folded", "-run", x},
+		{"-t", "branch", "-progs", "queens", "-o", o, x},
+		{"-table", "fig5", "-progs", "queens", "-t", "io", "-vm-mode", "plain"},
+		table("-vm-mode", "plain"),
+		table("-noinline", "-bench-json", filepath.Join(dir, "b.json")),
+		table(x),
+		table("-o", o),
+		table("-run"),
+		table("-profile", filepath.Join(dir, "p.txt")),
+		table("-emit-ir", dir),
+		table("-ir-in", filepath.Join(dir, "q.ir")),
+		table("-analyze"),
+		table("-j", "2"),
+		table("-layout"),
+		table("-progress"),
+	} {
+		if code, _ := runCLI(t, args...); code != 2 {
+			t.Errorf("atom %v exited %d, want 2", args, code)
+		}
+	}
+	// Where -vm-mode applies, a bad value is a bad value, not the default.
+	if code, _ := runCLI(t, "-run", "-vm-mode", "bogus", x); code != 1 {
+		t.Errorf("-run -vm-mode bogus exited %d, want 1", code)
 	}
 }
 

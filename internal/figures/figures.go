@@ -111,8 +111,9 @@ type Fig5Row struct {
 }
 
 // Fig5 instruments the given suite programs (all 20 when names is empty)
-// with every tool and measures instrumentation time (ATOM processing plus
-// the tool's instrumentation routine, exactly the paper's definition).
+// with the given tools (all 11 when empty) under opts and measures
+// instrumentation time (ATOM processing plus the tool's instrumentation
+// routine, exactly the paper's definition).
 // For each tool the artifact caches are dropped first, so ToolBuild is a
 // true cold build; the per-program loop then runs against the warm cache,
 // which is how the system behaves when one tool is applied to a suite.
@@ -120,12 +121,8 @@ type Fig5Row struct {
 // reach the caller's sinks. reg, when non-nil, must be attached to ctx:
 // each row's per-phase times are the deltas of its span totals over
 // that tool's measurement (zero without a registry).
-func Fig5(ctx *obs.Ctx, reg *obs.RegistrySink, names []string, progress io.Writer) ([]Fig5Row, error) {
-	if len(names) == 0 {
-		for _, p := range spec.Suite() {
-			names = append(names, p.Name)
-		}
-	}
+func Fig5(ctx *obs.Ctx, reg *obs.RegistrySink, names, toolNames []string, opts core.Options, progress io.Writer) ([]Fig5Row, error) {
+	names, toolNames = orAll(names, toolNames)
 	// Warm the application-build cache outside the timers.
 	for _, pn := range names {
 		if _, err := spec.Build(pn); err != nil {
@@ -133,15 +130,15 @@ func Fig5(ctx *obs.Ctx, reg *obs.RegistrySink, names []string, progress io.Write
 		}
 	}
 	var rows []Fig5Row
-	for _, tname := range tools.Names() {
-		tool, _ := tools.ByName(tname)
+	for _, tname := range toolNames {
+		tool, _ := tools.ByName(tname) // an unknown name fails the build below
 		phases0 := phaseTotals(reg)
 
 		core.ResetImageCache(build.ScopeMemory)
 		rtl.ResetObjectCache(build.ScopeMemory)
 		build.ResetIRCache(build.ScopeMemory)
 		start := time.Now()
-		ti, err := core.BuildToolImageCtx(ctx, tool, core.Options{})
+		ti, err := core.BuildToolImageCtx(ctx, tool, opts)
 		if err != nil {
 			return nil, fmt.Errorf("fig5: building %s: %w", tname, err)
 		}
@@ -180,7 +177,7 @@ func Fig5(ctx *obs.Ctx, reg *obs.RegistrySink, names []string, progress io.Write
 			if err != nil {
 				return nil, err
 			}
-			if _, err := core.ApplyCtx(ctx, exe, ti, core.Options{}); err != nil {
+			if _, err := core.ApplyCtx(ctx, exe, ti, opts); err != nil {
 				return nil, fmt.Errorf("fig5: %s on %s: %w", tname, pn, err)
 			}
 		}
@@ -226,6 +223,19 @@ func Fig5(ctx *obs.Ctx, reg *obs.RegistrySink, names []string, progress io.Write
 		}
 	}
 	return rows, nil
+}
+
+// orAll fills in the default subsets: all 20 programs, all 11 tools.
+func orAll(names, toolNames []string) ([]string, []string) {
+	if len(names) == 0 {
+		for _, p := range spec.Suite() {
+			names = append(names, p.Name)
+		}
+	}
+	if len(toolNames) == 0 {
+		toolNames = tools.Names()
+	}
+	return names, toolNames
 }
 
 // phaseTotals reads the span totals behind Fig5Row's per-phase times, in
@@ -325,16 +335,10 @@ func baselineIcount(name string) (uint64, error) {
 	return m.Icount, nil
 }
 
-// RatioFor measures one tool on one program and returns the
-// instrumented/uninstrumented instruction ratio.
-func RatioFor(toolName, progName string, opts core.Options) (float64, error) {
-	return RatioForCtx(nil, toolName, progName, opts)
-}
-
-// RatioForCtx is RatioFor under a stage context, so a caller collecting
-// pipeline counters and histograms (per-site live/saved register
-// distributions among them) sees every instrumentation in the sweep.
-func RatioForCtx(ctx *obs.Ctx, toolName, progName string, opts core.Options) (float64, error) {
+// RatioFor instruments one program with one tool under opts, runs it, and
+// returns the instrumented/uninstrumented instruction ratio. The
+// instrumentation's counters and histograms reach ctx.
+func RatioFor(ctx *obs.Ctx, toolName, progName string, opts core.Options) (float64, error) {
 	base, err := baselineIcount(progName)
 	if err != nil {
 		return 0, err
@@ -367,22 +371,18 @@ func RatioForCtx(ctx *obs.Ctx, toolName, progName string, opts core.Options) (fl
 	return float64(m.Icount) / float64(base), nil
 }
 
-// Fig6 measures every tool over the given programs (all 20 when names is
-// empty) and returns per-tool geometric-mean ratios. Every
-// instrumentation in the sweep runs under ctx, so the caller's sinks see
-// its counters and histograms.
-func Fig6(ctx *obs.Ctx, names []string, progress io.Writer) ([]Fig6Row, error) {
-	if len(names) == 0 {
-		for _, p := range spec.Suite() {
-			names = append(names, p.Name)
-		}
-	}
+// Fig6 measures the given tools (all 11 when empty) over the given
+// programs (all 20 when empty) with RatioFor and returns per-tool
+// geometric-mean ratios. Every instrumentation in the sweep runs under
+// ctx, so the caller's sinks see its counters and histograms.
+func Fig6(ctx *obs.Ctx, names, toolNames []string, opts core.Options, progress io.Writer) ([]Fig6Row, error) {
+	names, toolNames = orAll(names, toolNames)
 	var rows []Fig6Row
-	for _, tname := range tools.Names() {
+	for _, tname := range toolNames {
 		logSum := 0.0
 		minR, maxR := math.Inf(1), 0.0
 		for _, pn := range names {
-			r, err := RatioForCtx(ctx, tname, pn, core.Options{})
+			r, err := RatioFor(ctx, tname, pn, opts)
 			if err != nil {
 				return nil, err
 			}

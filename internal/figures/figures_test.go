@@ -1,6 +1,7 @@
 package figures_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func TestFig5Subset(t *testing.T) {
 	reg := obs.NewRegistrySink()
-	rows, err := figures.Fig5(obs.New(reg), reg, []string{"queens", "eqntott"}, nil)
+	rows, err := figures.Fig5(obs.New(reg), reg, []string{"queens", "eqntott"}, nil, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestFig5Subset(t *testing.T) {
 }
 
 func TestFig6Subset(t *testing.T) {
-	rows, err := figures.Fig6(nil, []string{"queens"}, nil)
+	rows, err := figures.Fig6(nil, []string{"queens"}, nil, core.Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +83,44 @@ func TestFig6Subset(t *testing.T) {
 }
 
 func TestRatioForErrors(t *testing.T) {
-	if _, err := figures.RatioFor("nope", "queens", core.Options{}); err == nil {
+	if _, err := figures.RatioFor(nil, "nope", "queens", core.Options{}); err == nil {
 		t.Error("unknown tool accepted")
 	}
-	if _, err := figures.RatioFor("cache", "nope", core.Options{}); err == nil {
+	if _, err := figures.RatioFor(nil, "cache", "nope", core.Options{}); err == nil {
 		t.Error("unknown program accepted")
+	}
+}
+
+// TestAblations pins the Section 4 design choices (save mode, register
+// summary) and the paper's two future-work refinements (liveness,
+// inlining) as one-tool, one-program Figure 6 ratios, measured with the
+// options `atom -table` passes.
+func TestAblations(t *testing.T) {
+	for _, c := range []struct {
+		name, tool, prog string
+		opts             core.Options
+		want             string
+	}{
+		{"save/wrapper", "branch", "eqntott", core.Options{Mode: core.SaveWrapper}, "2.98"},
+		{"save/inanalysis", "branch", "eqntott", core.Options{Mode: core.SaveInAnalysis}, "2.79"},
+		{"summary/on", "cache", "eqntott", core.Options{}, "19.70"},
+		{"summary/save-all", "cache", "eqntott", core.Options{NoRegSummary: true}, "34.63"},
+		{"liveness/on", "prof", "eqntott", core.Options{}, "1.75"},
+		{"liveness/off", "prof", "eqntott", core.Options{NoLiveness: true}, "2.28"},
+		{"inline/on", "gprof", "queens", core.Options{}, "3.28"},
+		{"inline/off", "gprof", "queens", core.Options{NoInline: true}, "4.95"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			rows, err := figures.Fig6(nil, []string{c.prog}, []string{c.tool}, c.opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rows) != 1 || rows[0].Tool != c.tool {
+				t.Fatalf("rows = %+v, want one %s row", rows, c.tool)
+			}
+			if got := fmt.Sprintf("%.2f", rows[0].Ratio); got != c.want {
+				t.Errorf("%s on %s: ratio %s, want %s", c.tool, c.prog, got, c.want)
+			}
+		})
 	}
 }
