@@ -85,7 +85,8 @@ gate_vettool() {
     $GO vet -vettool="$w/atomvet" ./...
 }
 
-gate_build() { $GO build ./...; }
+# The windows build compiles the !unix fallbacks (internal/vm/mem_other.go).
+gate_build() { $GO build ./... && GOOS=windows GOARCH=amd64 $GO build ./...; }
 gate_test() { $GO test ./...; }
 gate_race() { $GO test -race ./...; }
 

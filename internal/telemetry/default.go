@@ -75,6 +75,7 @@ func RegisterProcessGauges(r *Registry) {
 	r.SetGauge("vm.total.sb.hits", func() int64 { return int64(vm.Totals().SBHits) })
 	r.SetGauge("vm.total.sb.links", func() int64 { return int64(vm.Totals().SBLinks) })
 	r.SetGauge("vm.total.sb.invalidations", func() int64 { return int64(vm.Totals().SBInval) })
+	r.SetGauge("vm.total.guest_maps", func() int64 { return int64(vm.Totals().GuestMaps) })
 	r.SetGauge("prof.total.samples", func() int64 { return int64(prof.TotalSamplesAll()) })
 }
 

@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"runtime"
 
 	"atom/internal/alpha"
 )
@@ -66,10 +67,10 @@ func (m *Machine) sysWrite(fd int, buf uint64, n int64) (int64, error) {
 	if n < 0 {
 		return -1, nil
 	}
-	if err := m.checkAddr(buf, int(n)); err != nil {
+	if err := m.checkAddr(buf, uint64(n)); err != nil {
 		return 0, err
 	}
-	data := m.Mem[buf : buf+uint64(n)]
+	data := m.mem[buf : buf+uint64(n)]
 	switch fd {
 	case 1:
 		m.Stdout = append(m.Stdout, data...)
@@ -89,7 +90,7 @@ func (m *Machine) sysRead(fd int, buf uint64, n int64) (int64, error) {
 	if n < 0 {
 		return -1, nil
 	}
-	if err := m.checkAddr(buf, int(n)); err != nil {
+	if err := m.checkAddr(buf, uint64(n)); err != nil {
 		return 0, err
 	}
 	var src []byte
@@ -110,7 +111,7 @@ func (m *Machine) sysRead(fd int, buf uint64, n int64) (int64, error) {
 	if int64(avail) < n {
 		n = int64(avail)
 	}
-	copy(m.Mem[buf:buf+uint64(n)], src[*pos:])
+	copy(m.mem[buf:buf+uint64(n)], src[*pos:])
 	*pos += int(n)
 	return n, nil
 }
@@ -158,7 +159,7 @@ func (m *Machine) sysClose(fd int) int64 {
 func (m *Machine) sysSbrk(brk *uint64, incr int64) int64 {
 	old := *brk
 	nw := uint64(int64(old) + incr)
-	if nw > uint64(len(m.Mem)) || int64(nw) < int64(m.heapBase) {
+	if nw > memSize || int64(nw) < int64(m.heapBase) {
 		return -1
 	}
 	*brk = nw
@@ -177,17 +178,17 @@ func (m *Machine) file(fd int) *openFile {
 }
 
 func (m *Machine) cstring(addr uint64) (string, bool) {
-	if addr >= uint64(len(m.Mem)) {
+	if addr >= memSize {
 		return "", false
 	}
 	end := addr
-	for end < uint64(len(m.Mem)) && m.Mem[end] != 0 {
+	for end < memSize && m.mem[end] != 0 {
 		end++
 		if end-addr > 4096 {
 			return "", false
 		}
 	}
-	return string(m.Mem[addr:end]), true
+	return string(m.mem[addr:end]), true
 }
 
 // flushFiles persists any still-open written files at exit, mirroring the
@@ -202,10 +203,12 @@ func (m *Machine) flushFiles() {
 
 // ReadMem copies n bytes at addr; helper for tests and tools.
 func (m *Machine) ReadMem(addr, n uint64) ([]byte, error) {
-	if addr+n > uint64(len(m.Mem)) {
+	if n > memSize || addr > memSize-n {
 		return nil, fmt.Errorf("vm: ReadMem %#x+%d out of range", addr, n)
 	}
 	out := make([]byte, n)
-	copy(out, m.Mem[addr:])
+	copy(out, m.mem[addr:])
+	// m owns the mapping copied from: keep it until the copy is done.
+	runtime.KeepAlive(m)
 	return out, nil
 }

@@ -107,7 +107,7 @@ var sbNone = &superblock{}
 // it on first use. nil means "single-step this PC" — out-of-text,
 // misaligned, or unbuildable.
 func (m *Machine) lookupSB(pc uint64) *superblock {
-	if pc < m.exe.TextAddr || pc+4 > m.textEnd || pc%4 != 0 {
+	if !m.inText(pc) {
 		return nil
 	}
 	idx := (pc - m.exe.TextAddr) / 4
@@ -296,7 +296,7 @@ func (m *Machine) runSB(sb *superblock) (*sbOp, error) {
 // stepFast executes one instruction with the predecode fast path's
 // exact semantics (the caller has already checked the budget).
 func (m *Machine) stepFast() error {
-	if m.PC < m.exe.TextAddr || m.PC+4 > m.textEnd || m.PC%4 != 0 {
+	if !m.inText(m.PC) {
 		return m.faultf("instruction fetch from %#x outside text", m.PC)
 	}
 	idx := (m.PC - m.exe.TextAddr) / 4
@@ -312,11 +312,10 @@ func (m *Machine) stepFast() error {
 func (m *Machine) buildSB(entry uint64) *superblock {
 	sb := &superblock{entry: entry, lo: entry, hi: entry}
 	visited := make(map[uint64]bool)
-	memLen := uint64(len(m.Mem))
 	pc := entry
 	terminated := false
 	for len(sb.ops) < sbMaxOps && !terminated {
-		if pc < m.exe.TextAddr || pc+4 > m.textEnd || visited[pc] {
+		if !m.inText(pc) || visited[pc] {
 			break
 		}
 		idx := (pc - m.exe.TextAddr) / 4
@@ -370,7 +369,7 @@ func (m *Machine) buildSB(entry uint64) *superblock {
 
 		case inst.Op.IsLoad() || inst.Op.IsStore():
 			sb.ops = append(sb.ops, sbOp{kind: sbOpMem, pc: pc, inst: inst,
-				mem: memClosure(inst, memLen, m.exe.TextAddr, m.textEnd)})
+				mem: memClosure(inst, m.exe.TextAddr, m.textEnd)})
 
 		default:
 			cl := regClosure(inst)
@@ -442,13 +441,13 @@ func condClosure(i alpha.Inst) func(r *[alpha.NumRegs]int64) bool {
 // time. The bounds test replicates checkAddr (null page, then end of
 // memory) with zero side effects on failure, so the slow-path re-run
 // reproduces the exact fault.
-func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine) uint8 {
+func memClosure(i alpha.Inst, textAddr, textEnd uint64) func(m *Machine) uint8 {
 	ra, rb, disp := i.Ra, i.Rb, int64(i.Disp)
 	switch i.Op {
 	case alpha.OpLdq:
 		return func(m *Machine) uint8 {
 			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+8 > memLen {
+			if addr < 4096 || addr > memSize-8 {
 				return sbFaulted
 			}
 			m.Loads++
@@ -456,14 +455,14 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 				m.Unaligned++
 			}
 			if ra != alpha.Zero {
-				m.Reg[ra] = int64(binary.LittleEndian.Uint64(m.Mem[addr:]))
+				m.Reg[ra] = int64(binary.LittleEndian.Uint64(m.mem[addr:]))
 			}
 			return sbOK
 		}
 	case alpha.OpLdl:
 		return func(m *Machine) uint8 {
 			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+4 > memLen {
+			if addr < 4096 || addr > memSize-4 {
 				return sbFaulted
 			}
 			m.Loads++
@@ -471,14 +470,14 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 				m.Unaligned++
 			}
 			if ra != alpha.Zero {
-				m.Reg[ra] = int64(int32(binary.LittleEndian.Uint32(m.Mem[addr:])))
+				m.Reg[ra] = int64(int32(binary.LittleEndian.Uint32(m.mem[addr:])))
 			}
 			return sbOK
 		}
 	case alpha.OpLdwu:
 		return func(m *Machine) uint8 {
 			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+2 > memLen {
+			if addr < 4096 || addr > memSize-2 {
 				return sbFaulted
 			}
 			m.Loads++
@@ -486,19 +485,19 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 				m.Unaligned++
 			}
 			if ra != alpha.Zero {
-				m.Reg[ra] = int64(binary.LittleEndian.Uint16(m.Mem[addr:]))
+				m.Reg[ra] = int64(binary.LittleEndian.Uint16(m.mem[addr:]))
 			}
 			return sbOK
 		}
 	case alpha.OpLdbu:
 		return func(m *Machine) uint8 {
 			addr := uint64(m.Reg[rb] + disp)
-			if addr < 4096 || addr+1 > memLen {
+			if addr < 4096 || addr > memSize-1 {
 				return sbFaulted
 			}
 			m.Loads++
 			if ra != alpha.Zero {
-				m.Reg[ra] = int64(m.Mem[addr])
+				m.Reg[ra] = int64(m.mem[addr])
 			}
 			return sbOK
 		}
@@ -510,7 +509,7 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 	op := i.Op
 	return func(m *Machine) uint8 {
 		addr := uint64(m.Reg[rb] + disp)
-		if addr < 4096 || addr+size > memLen {
+		if addr < 4096 || addr > memSize-size {
 			return sbFaulted
 		}
 		m.Stores++
@@ -520,13 +519,13 @@ func memClosure(i alpha.Inst, memLen, textAddr, textEnd uint64) func(m *Machine)
 		v := uint64(m.Reg[ra])
 		switch op {
 		case alpha.OpStq:
-			binary.LittleEndian.PutUint64(m.Mem[addr:], v)
+			binary.LittleEndian.PutUint64(m.mem[addr:], v)
 		case alpha.OpStl:
-			binary.LittleEndian.PutUint32(m.Mem[addr:], uint32(v))
+			binary.LittleEndian.PutUint32(m.mem[addr:], uint32(v))
 		case alpha.OpStw:
-			binary.LittleEndian.PutUint16(m.Mem[addr:], uint16(v))
+			binary.LittleEndian.PutUint16(m.mem[addr:], uint16(v))
 		default: // OpStb
-			m.Mem[addr] = byte(v)
+			m.mem[addr] = byte(v)
 		}
 		if addr < textEnd && addr+size > textAddr && m.textStore(addr, int(size)) {
 			return sbTextStore

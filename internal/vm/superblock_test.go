@@ -40,7 +40,7 @@ func runMode(t *testing.T, exe *aout.File, cfg Config, mode Mode) (*Machine, vmS
 	st := vmState{
 		exit:       code,
 		pc:         m.PC,
-		memDigest:  sha256.Sum256(m.Mem),
+		memDigest:  sha256.Sum256(m.mem),
 		icount:     m.Icount,
 		loads:      m.Loads,
 		stores:     m.Stores,
@@ -483,7 +483,9 @@ target:
 }
 
 // TestSuperblockFaultDiagnostics: faults raised mid-block must carry the
-// same pc/icount/cause text as per-instruction dispatch.
+// same pc/icount/cause text in every dispatch mode. The wrap-* rows
+// address the top of the 64-bit space, where addr+size overflows: each
+// must fault, not panic the host.
 func TestSuperblockFaultDiagnostics(t *testing.T) {
 	progs := map[string]string{
 		"null-load": `
@@ -518,17 +520,61 @@ __start:
 	ret (t9)
 	.end __start
 `,
+		"wrap-load": `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	lda t1, -8(zero)
+	ldq t3, 0(t1)
+	call_pal 0
+	.end __start
+`,
+		"wrap-store": `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li t0, 7
+	lda t1, -2(zero)
+	stl t0, 0(t1)
+	call_pal 0
+	.end __start
+`,
+		"wrap-write-pal": `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	li a0, 1
+	lda a1, -16(zero)
+	li a2, 32
+	call_pal 1
+	clr a0
+	call_pal 0
+	.end __start
+`,
+		"wrap-fetch": `
+	.text
+	.globl __start
+	.ent __start
+__start:
+	lda t9, -4(zero)
+	ret (t9)
+	.end __start
+`,
 	}
 	for name, src := range progs {
 		t.Run(name, func(t *testing.T) {
 			exe := build(t, src)
 			_, plain := runMode(t, exe, Config{}, ModePlain)
-			_, sb := runMode(t, exe, Config{}, ModeSuperblock)
 			if plain.errText == "" {
 				t.Fatal("expected a fault")
 			}
-			if sb != plain {
-				t.Errorf("superblock fault state %+v\nplain fault state %+v", sb, plain)
+			for _, mode := range []Mode{ModePredecode, ModeSuperblock} {
+				if _, got := runMode(t, exe, Config{}, mode); got != plain {
+					t.Errorf("%v fault state %+v\nplain fault state %+v", mode, got, plain)
+				}
 			}
 		})
 	}
